@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-verbose examples fast-test test-obs test-robustness test-fdir test-overload test-perf test-parallel test-cdma-perf test-scenarios test-dtn all
+.PHONY: install test bench bench-verbose examples fast-test test-obs test-robustness test-fdir test-overload test-perf test-tdma-perf test-cdma-perf test-scenarios test-dtn all
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -28,8 +28,8 @@ test-overload:  ## demand-plane overload control: admission, backpressure, deadl
 test-perf:  ## batched burst-processing throughput baseline (prints bursts/sec tables)
 	$(PYTHON) -m pytest benchmarks/bench_perf_burst_batch.py -s
 
-test-parallel:  ## carrier-parallel uplink engine: executor equivalence suite + serial-vs-threads speedup gate
-	$(PYTHON) -m pytest -m parallel tests/ benchmarks/bench_perf_uplink_parallel.py -s
+test-tdma-perf:  ## batched MF-TDMA demod + polyphase multiplexer: equivalence suite + carriers/sec speedup gate
+	$(PYTHON) -m pytest -m perf tests/dsp/test_tdma_batch_equivalence.py benchmarks/bench_perf_tdma_batch.py -s
 
 test-cdma-perf:  ## batched CDMA return-link engine: equivalence suite + bursts/sec speedup gates
 	$(PYTHON) -m pytest -m perf tests/dsp/test_cdma_batch_equivalence.py benchmarks/bench_perf_cdma_batch.py -s

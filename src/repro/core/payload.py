@@ -22,14 +22,23 @@ import numpy as np
 from ..dsp.adc import Adc, Dac
 from ..dsp.beamforming import Dbfn
 from ..dsp.demux import PolyphaseChannelizer, multiplex_carriers
+from ..dsp.tdma import BurstSyncError
 from ..fpga.device import Fpga
 from ..obs.probes import probe
-from ..parallel import CarrierExecutor
-from .equipment import ReconfigurableEquipment
+from .equipment import EquipmentError, ReconfigurableEquipment
 from .obc import OnBoardController, Telecommand, Telemetry
 from .registry import FunctionRegistry, default_registry
 
 __all__ = ["PayloadConfig", "RegenerativePayload", "Platform", "PacketSwitch"]
+
+#: bits a silenced CDMA carrier reports (a CDMA personality has no fixed
+#: burst capacity; 128 is its default demodulation length)
+CDMA_FILL_BITS = 128
+
+
+def _split_bits(res: dict) -> tuple:
+    """A receive result as ``(bits, every other diagnostic)``."""
+    return res["bits"], {key: res[key] for key in res if key != "bits"}
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,6 @@ class RegenerativePayload:
         config: Optional[PayloadConfig] = None,
         registry: Optional[FunctionRegistry] = None,
         obc: Optional[OnBoardController] = None,
-        executor: Optional[CarrierExecutor] = None,
     ) -> None:
         self.config = config or PayloadConfig()
         self.registry = registry or default_registry()
@@ -181,20 +189,9 @@ class RegenerativePayload:
         #: optional per-carrier MF-TDMA burst request queues (CoDel);
         #: ``None`` until :meth:`attach_burst_queues`
         self.burst_queues = None
-        #: optional carrier-parallel execution engine for the uplink
-        #: demod fan-out; ``None`` runs the reference inline loop
-        self.executor = executor
-
-    def attach_executor(self, executor: Optional[CarrierExecutor]) -> None:
-        """Attach (or with ``None`` detach) a carrier-parallel executor.
-
-        Every subsequent :meth:`process_uplink` fans the per-carrier
-        demodulation lanes out through ``executor.run`` instead of the
-        inline serial loop.  Results are bit-identical by contract (the
-        lanes are independent and joined in carrier order); see
-        :mod:`repro.parallel`.
-        """
-        self.executor = executor
+        #: modem personality loaded at bring-up (sizes a dead slot's
+        #: silence when it no longer holds a design)
+        self.boot_modem: Optional[str] = None
 
     def attach_health(self, bank) -> None:
         """Attach a per-carrier health monitor bank to the live chain.
@@ -261,6 +258,7 @@ class RegenerativePayload:
     # -- bring-up ---------------------------------------------------------
     def boot(self, modem: str = "modem.tdma", decoder: str = "decod.conv") -> None:
         """Load initial personalities into every equipment."""
+        self.boot_modem = modem
         for eq in self.demods:
             eq.load(modem)
         self.decoder.load(decoder)
@@ -336,11 +334,10 @@ class RegenerativePayload:
         (``decoded[k] is None``) so the FDIR health bank only sees CRC
         outcomes for blocks that were really decoded.
 
-        With an attached :class:`~repro.parallel.CarrierExecutor`
-        (:meth:`attach_executor`), the per-carrier demodulation lanes
-        fan out across the executor's workers and join in carrier
-        order; bits, diagnostics and fault containment are identical to
-        the inline loop by construction.
+        The TDMA carriers demodulate in **one** batched call per
+        personality group (:meth:`_demod_carriers`); bits, diagnostics
+        and fault containment are identical to demodulating each carrier
+        on its own.
 
         Returns per-carrier demodulated bits plus chain diagnostics
         (and ``decoded`` when requested).
@@ -356,22 +353,7 @@ class RegenerativePayload:
             channels = self.channelizer.process(x[:usable])
         else:
             channels = x[None, :]
-        lanes = [
-            (
-                lambda k=k, want=(bits_expected[k] if bits_expected else None):
-                self._demod_carrier(k, channels[k], want)
-            )
-            for k in range(len(self.demods))
-        ]
-        if self.executor is None:
-            results = [fn() for fn in lanes]
-        else:
-            # ordered join: outcome i is carrier i regardless of which
-            # worker finished first; a lane's unexpected exception (the
-            # contained sync/equipment faults never escape the lane
-            # function) re-raises lowest-carrier-first, exactly as the
-            # inline loop would
-            results = [o.result() for o in self.executor.run(lanes)]
+        results = self._demod_carriers(channels, bits_expected)
         out_bits: List[np.ndarray] = [bits for bits, _ in results]
         diags: List[dict] = [diag for _, diag in results]
         if self.health is not None:
@@ -382,39 +364,66 @@ class RegenerativePayload:
             result["decoded"] = self._decode_uplink_blocks(diags)
         return result
 
-    def _demod_carrier(self, k: int, channel: np.ndarray, want: Optional[int]):
-        """One carrier's demodulation lane: ``(bits, diagnostics)``.
+    def _demod_carriers(
+        self, channels: np.ndarray, bits_expected: Optional[List[int]]
+    ) -> List[tuple]:
+        """Every carrier's ``(bits, diagnostics)``, in carrier order.
 
-        The executor's unit of work.  Burst-sync and equipment faults
-        are contained *inside* the lane (silence plus a diagnostic for
-        the FDIR detection path), so one carrier's failure can never
-        abort or reorder another lane; anything else that raises is a
-        genuine bug and propagates.  Lanes touch only their own
-        equipment and emit no trace events, keeping results and trace
-        hashes bit-identical across backends and worker counts.
+        Equipment faults are contained first: a dead demodulator
+        (latch-up, SEU, power-off) silences its own carrier with an
+        ``equipment_failed`` diagnostic for the FDIR ladder.  The live
+        TDMA carriers are then grouped by :attr:`TdmaModem.batch_key`
+        and each group runs one :meth:`TdmaModem.receive_batch`; a row
+        that loses burst sync delivers silence plus a ``sync_failed``
+        diagnostic without touching its neighbours.  CDMA carriers run
+        their own ``receive``.  Anything else that raises is a genuine
+        bug and propagates.
         """
-        from ..dsp.tdma import BurstSyncError
-        from .equipment import EquipmentError
+        results: List[Optional[tuple]] = [None] * len(self.demods)
+        wants = [bits_expected[k] if bits_expected else None for k in range(len(results))]
+        groups: Dict[tuple, tuple] = {}
+        for k, eq in enumerate(self.demods):
+            try:
+                modem = eq.behaviour()
+            except EquipmentError as exc:
+                n = wants[k] or self._dead_burst_bits(eq)
+                results[k] = (np.zeros(n, dtype=np.uint8), {"equipment_failed": str(exc)})
+                continue
+            if hasattr(modem, "batch_key"):  # TDMA
+                groups.setdefault(modem.batch_key, (modem, []))[1].append(k)
+                continue
+            try:  # CDMA
+                res = modem.receive(channels[k], wants[k] or CDMA_FILL_BITS)
+            except BurstSyncError as exc:
+                n = wants[k] or CDMA_FILL_BITS
+                results[k] = (np.zeros(n, dtype=np.uint8), {"sync_failed": str(exc)})
+                continue
+            results[k] = _split_bits(res)
+        for modem, carriers in groups.values():
+            batch = modem.receive_batch(channels[carriers], [wants[k] for k in carriers])
+            for k, res in zip(carriers, batch):
+                if isinstance(res, BurstSyncError):
+                    # a carrier that failed burst sync delivers nothing;
+                    # the payload reports it instead of aborting the others
+                    n = wants[k] or modem.bits_per_burst
+                    results[k] = (np.zeros(n, dtype=np.uint8), {"sync_failed": str(res)})
+                else:
+                    results[k] = _split_bits(res)
+        return results
 
-        eq = self.demods[k]
-        try:
-            modem = eq.behaviour()
-            if hasattr(modem, "bits_per_burst"):  # TDMA
-                res = modem.receive(channel, num_bits=want)
-            else:  # CDMA
-                res = modem.receive(channel, want or 128)
-        except BurstSyncError as exc:
-            # a carrier that failed burst sync delivers nothing; the
-            # payload reports it instead of aborting the other carriers
-            n = want or getattr(modem, "bits_per_burst", 128)
-            return np.zeros(n, dtype=np.uint8), {"sync_failed": str(exc)}
-        except EquipmentError as exc:
-            # fault containment: a dead demodulator (latch-up, SEU)
-            # silences its own carrier only -- the FDIR isolation
-            # ladder picks the diagnostic up from here
-            n = want or 128
-            return np.zeros(n, dtype=np.uint8), {"equipment_failed": str(exc)}
-        return res["bits"], {key: res[key] for key in res if key != "bits"}
+    def _dead_burst_bits(self, eq) -> int:
+        """Silence width for a carrier whose demodulator cannot run.
+
+        Sized from the slot's loaded design (the boot personality once
+        the slot has been unloaded, e.g. after a latch-up): the design
+        factory's ``bits_per_burst`` for TDMA, :data:`CDMA_FILL_BITS`
+        for CDMA.
+        """
+        name = eq.loaded_design or self.boot_modem
+        if name is None:
+            return CDMA_FILL_BITS
+        modem = self.registry.get(name).factory()
+        return getattr(modem, "bits_per_burst", CDMA_FILL_BITS)
 
     def process_return_link(
         self,
@@ -438,7 +447,7 @@ class RegenerativePayload:
 
         Requires the carrier's demod to carry a CDMA personality
         (``modem.cdma``).  Equipment faults are contained exactly like
-        :meth:`_demod_carrier`: a dead demodulator silences every user
+        :meth:`_demod_carriers`: a dead demodulator silences every user
         of its carrier and reports a diagnostic instead of raising.
         With an attached health bank, each user's diagnostics are
         delivered as ``observe_burst(user_index, diag)`` -- the same
@@ -448,7 +457,6 @@ class RegenerativePayload:
         diagnostic dicts]}``.
         """
         from ..dsp.cdma import CdmaReturnBank
-        from .equipment import EquipmentError
 
         if not 0 <= carrier < len(self.demods):
             raise ValueError(f"carrier {carrier} out of range")
@@ -492,8 +500,6 @@ class RegenerativePayload:
         detection path sees the fault, and all carriers yield ``None``
         instead of the fault aborting the uplink.
         """
-        from .equipment import EquipmentError
-
         decoded: List[Optional[dict]] = [None] * len(diags)
         try:
             chain = self.decoder.behaviour()

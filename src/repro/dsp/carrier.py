@@ -47,7 +47,7 @@ def vv_phase_estimate(
     return float(np.angle(acc) / order)
 
 
-def carrier_lock_metric(symbols: np.ndarray, order: int = 4) -> float:
+def carrier_lock_metric(symbols: np.ndarray, order: int = 4):
     """Phase coherence of modulation-stripped symbols, in [0, 1].
 
     Normalizes the Viterbi&Viterbi accumulator: symbols are projected
@@ -61,27 +61,45 @@ def carrier_lock_metric(symbols: np.ndarray, order: int = 4) -> float:
     decorrelates the M-power phases and drives the metric towards the
     ``O(1/sqrt(N))`` floor.  This is the per-burst **carrier-lock
     detector** used by the FDIR health monitors.
+
+    Batch-aware: a ``(C, N)`` stack gives one metric per row (a float
+    for a single burst).  Symbols of zero magnitude carry no phase and
+    are left out of the sum; rows holding any are reduced on their own
+    so the sum runs over exactly the symbols a one-row call sees.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     y = np.asarray(symbols)
-    if len(y) == 0:
+    if y.shape[-1] == 0:
         raise ValueError("empty symbol block")
     mag = np.abs(y)
     good = mag > 1e-30
-    if not np.any(good):
-        return 0.0
-    u = y[good] / mag[good]
-    return float(np.abs(np.sum(u**order)) / len(y))
+    clean = good.all(axis=-1)
+    u = y / np.where(good, mag, 1.0)
+    metric = np.abs(np.sum(u**order, axis=-1)) / y.shape[-1]
+    if not clean.all():
+        metric = np.array(metric, dtype=np.float64, ndmin=1)
+        rows = y.reshape(-1, y.shape[-1])
+        masks = good.reshape(rows.shape)
+        for r in np.flatnonzero(~clean.ravel()):
+            ur = rows[r][masks[r]] / mag.reshape(rows.shape)[r][masks[r]]
+            metric[r] = np.abs(np.sum(ur**order)) / y.shape[-1] if ur.size else 0.0
+        metric = metric.reshape(clean.shape)
+    return float(metric) if y.ndim == 1 else metric
 
 
-def data_aided_phase(received: np.ndarray, reference: np.ndarray) -> float:
-    """Maximum-likelihood phase estimate from known (pilot/UW) symbols."""
+def data_aided_phase(received: np.ndarray, reference: np.ndarray):
+    """Maximum-likelihood phase estimate from known (pilot/UW) symbols.
+
+    ``received`` may be a ``(C, N)`` stack against one ``(N,)``
+    reference: one phase per row (a float for a single burst).
+    """
     received = np.asarray(received)
     reference = np.asarray(reference)
-    if received.shape != reference.shape:
+    if received.shape[-1:] != reference.shape:
         raise ValueError("received/reference length mismatch")
-    return float(np.angle(np.sum(received * np.conj(reference))))
+    phase = np.angle(np.sum(received * np.conj(reference), axis=-1))
+    return float(phase) if received.ndim == 1 else phase
 
 
 def frequency_estimate(symbols: np.ndarray, order: int = 4, pad: int = 4) -> float:

@@ -17,35 +17,60 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..caching import cached_design, freeze
 from .filters import design_lowpass
 from .nco import Ddc
 
-__all__ = ["DdcBank", "PolyphaseChannelizer", "multiplex_carriers"]
+__all__ = [
+    "DdcBank",
+    "PolyphaseChannelizer",
+    "multiplex_carriers",
+    "synthesis_branches",
+]
+
+
+@cached_design("demux.synthesis_branches", maxsize=16)
+def synthesis_branches(num_channels: int) -> np.ndarray:
+    """Polyphase branch table of the carrier multiplexer, ``(M, T)``.
+
+    The prototype is an ``8M + 1``-tap windowed-sinc low-pass (band
+    edge ``0.4/M``) with interpolation gain ``M``; branch ``r`` holds
+    taps ``r, r + M, r + 2M, ...`` zero-padded to ``T = 9``.  Cached
+    and frozen: every payload with ``M`` carriers shares one table.
+    """
+    m = num_channels
+    proto = design_lowpass(8 * m + 1, 0.5 / m * 0.8) * m
+    taps = -(-len(proto) // m)
+    padded = np.zeros(taps * m)
+    padded[: len(proto)] = proto
+    return freeze(padded.reshape(taps, m).T)
 
 
 def multiplex_carriers(baseband: np.ndarray, num_channels: int) -> np.ndarray:
     """Frequency-multiplex M equal-rate baseband streams into one wideband.
 
-    ``baseband`` is (M, N); each stream is upsampled by M and shifted to
-    its channel center ``k/M`` cycles/sample.  This is the synthesis
-    counterpart used by tests and by the payload's Tx side.
+    ``baseband`` is (M, N); each stream is upsampled by M, low-pass
+    interpolated and shifted to its channel center ``k/M``
+    cycles/sample.  This is the synthesis dual of
+    :class:`PolyphaseChannelizer`, used by tests and by the payload's
+    Tx side: with ``t = nM + r``,
+
+    ``y[nM + r] = sum_l g_r[l] * B[n - l, r]``,
+    ``B[n, r] = sum_k x_k[n] exp(+j 2 pi k r / M)``,
+
+    i.e. one unnormalized inverse FFT across carriers, M polyphase
+    branches ``g_r[l] = M h[r + lM]`` (:func:`synthesis_branches`)
+    applied as shifted multiply-adds, and one reshape.
     """
     bb = np.asarray(baseband, dtype=np.complex128)
     if bb.ndim != 2 or bb.shape[0] != num_channels:
         raise ValueError(f"expected ({num_channels}, N) input, got {bb.shape}")
-    m, n = bb.shape
-    total = n * m
-    out = np.zeros(total, dtype=np.complex128)
-    proto = design_lowpass(8 * m + 1, 0.5 / m * 0.8)
-    t = np.arange(total)
-    from scipy.signal import fftconvolve
-
-    for k in range(m):
-        up = np.zeros(total, dtype=np.complex128)
-        up[::m] = bb[k]
-        shaped = fftconvolve(up, proto * m, mode="full")[:total]
-        out += shaped * np.exp(2j * np.pi * (k / m) * t)
-    return out
+    branches = synthesis_branches(num_channels)
+    u = np.fft.ifft(bb, axis=0, norm="forward").T  # u[n, r] = B[n, r]
+    acc = u * branches[:, 0]
+    for l in range(1, branches.shape[1]):
+        acc[l:] += u[:-l] * branches[:, l]
+    return acc.reshape(-1)
 
 
 class DdcBank:

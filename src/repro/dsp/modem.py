@@ -76,7 +76,7 @@ def ber(a: np.ndarray, b: np.ndarray) -> float:
     return count_bit_errors(a, b) / a.size
 
 
-def estimate_snr_m2m4(symbols: np.ndarray, max_snr_db: float = 40.0) -> float:
+def estimate_snr_m2m4(symbols: np.ndarray, max_snr_db: float = 40.0):
     """Blind M2M4 SNR estimate [dB] for constant-modulus (PSK) symbols.
 
     The classic second/fourth moment estimator [Pauluzzi & Beaulieu,
@@ -90,13 +90,24 @@ def estimate_snr_m2m4(symbols: np.ndarray, max_snr_db: float = 40.0) -> float:
     garbage burst) drives the estimate towards ``-inf``/very low values.
     The return value is clamped to ``[-max_snr_db, max_snr_db]`` so the
     estimator never overflows telemetry on degenerate inputs.
+
+    Batch-aware: the moments are last-axis means, so a ``(C, N)`` stack
+    gives one estimate per row (a float for a single burst).
     """
     y = np.asarray(symbols)
-    if y.size < 8:
+    if y.shape[-1] < 8:
         raise ValueError("need at least 8 symbols for an SNR estimate")
     p = np.abs(y) ** 2
-    m2 = float(np.mean(p))
-    m4 = float(np.mean(p**2))
+    m2 = np.mean(p, axis=-1)
+    m4 = np.mean(p**2, axis=-1)
+    if y.ndim == 1:
+        return _m2m4_db(float(m2), float(m4), max_snr_db)
+    flat = [_m2m4_db(a, b, max_snr_db) for a, b in zip(m2.ravel().tolist(), m4.ravel().tolist())]
+    return np.array(flat).reshape(m2.shape)
+
+
+def _m2m4_db(m2: float, m4: float, max_snr_db: float) -> float:
+    """Finish one M2M4 estimate from its two moments."""
     if m2 <= 0.0:
         return -max_snr_db
     arg = 2.0 * m2 * m2 - m4

@@ -22,7 +22,13 @@ from scipy.signal import fftconvolve
 from .filters import srrc, upsample
 from .modem import PskModem, estimate_snr_m2m4
 from .carrier import carrier_lock_metric, data_aided_phase, frequency_estimate
-from .timing import GardnerLoop, oerder_meyr_recover, timing_lock_metric
+from .timing import (
+    HISTORY_MAXLEN,
+    gardner_track,
+    loop_gains,
+    oerder_meyr_strobes,
+    timing_line,
+)
 
 __all__ = [
     "BurstFormat",
@@ -36,6 +42,20 @@ __all__ = [
 
 class BurstSyncError(RuntimeError):
     """Burst synchronization failed (UW not found / burst truncated)."""
+
+
+def _sliding_sum(x: np.ndarray, width: int) -> np.ndarray:
+    """Sums of ``width`` consecutive samples along the last axis.
+
+    Accumulates in sample order with one ufunc call per window offset,
+    so every window's sum is independent of the batch shape.
+    """
+    n = x.shape[-1] - width + 1
+    acc = x[..., :n].copy()
+    for i in range(1, width):
+        acc += x[..., i : i + n]
+    return acc
+
 
 #: CCITT-style 20-symbol unique word with good aperiodic autocorrelation.
 _UW_BITS = np.array(
@@ -212,6 +232,8 @@ class TdmaModem:
             raise ValueError("TDMA modem needs sps >= 3")
         self.burst = burst or BurstFormat()
         self.sps = sps
+        self.beta = beta
+        self.span = span
         self.psk = PskModem(modulation)
         self.pulse = srrc(beta, sps, span)
         self.timing = timing
@@ -248,23 +270,60 @@ class TdmaModem:
         """Length of a transmitted burst in samples."""
         return self.burst.total * self.sps + len(self.pulse) - 1
 
+    @property
+    def batch_key(self) -> tuple:
+        """Everything the receive chain depends on.
+
+        Two modems with equal keys demodulate any burst identically, so
+        one of them can run :meth:`receive_batch` for both -- the
+        payload groups its carriers by this key.
+        """
+        return (
+            self.burst, self.sps, self.beta, self.span, self.psk.order,
+            self.timing, self.cfo_recovery,
+        )
+
     # -- receive ----------------------------------------------------------
-    def _recover_timing(self, mf: np.ndarray) -> tuple[np.ndarray, dict]:
+    def _recover_timing(self, mf: np.ndarray):
+        """Strobes of every row: ``(symbols (C, K), counts, diags, lock)``.
+
+        ``lock`` is every row's timing-lock metric, read off the same
+        spectral line as the Oerder&Meyr estimate (None when the burst
+        is too short to form the line).
+        """
         mode = self.timing
         if mode == "auto":
             mode = (
                 "gardner" if self.burst.total > self.AUTO_THRESHOLD else "oerder-meyr"
             )
         if mode == "oerder-meyr":
-            syms, tau = oerder_meyr_recover(mf, self.sps)
-            return syms, {"timing_mode": mode, "tau": tau}
-        loop = GardnerLoop(sps=self.sps, bn_ts=0.02)
-        syms = loop.process(mf)
-        return syms, {
-            "timing_mode": mode,
-            "tau": loop.tau,
-            "tau_history": np.asarray(loop.tau_history),
-        }
+            taus, lock = timing_line(mf, self.sps)
+            syms, counts = oerder_meyr_strobes(mf, taus, self.sps)
+            diags = [{"timing_mode": mode, "tau": float(t)} for t in taus]
+            return syms, counts, diags, lock
+        lock = timing_line(mf, self.sps)[1] if mf.shape[-1] >= 4 * self.sps else None
+        kp, ki = loop_gains(0.02, kd=2.0)
+        zeros = np.zeros(len(mf))
+        track = gardner_track(mf, self.sps, kp, ki, zeros, zeros)
+        diags = [
+            {
+                "timing_mode": mode,
+                "tau": float(tau),
+                "tau_history": track.tau_path[r, : max(k - 1, 0)][-HISTORY_MAXLEN:],
+            }
+            for r, (tau, k) in enumerate(zip(track.tau, track.counts))
+        ]
+        return track.symbols, track.counts, diags, lock
+
+    def _wanted_bits(self, num_bits, rows: int) -> list[int]:
+        if num_bits is None or np.ndim(num_bits) == 0:
+            num_bits = [num_bits] * rows
+        if len(num_bits) != rows:
+            raise ValueError(f"num_bits needs one entry per row ({rows})")
+        wants = [self.bits_per_burst if n is None else int(n) for n in num_bits]
+        if any(n > self.bits_per_burst for n in wants):
+            raise ValueError("num_bits exceeds burst capacity")
+        return wants
 
     def receive(self, samples: np.ndarray, num_bits: int | None = None) -> dict:
         """Demodulate one burst (after channel impairments).
@@ -272,51 +331,106 @@ class TdmaModem:
         Returns ``bits`` (the first ``num_bits`` payload bits), the
         de-rotated payload ``symbols``, the UW correlation peak
         ``uw_metric`` (normalized to 1 for a clean burst), timing
-        diagnostics and the data-aided ``phase``.
+        diagnostics and the data-aided ``phase``.  A one-row view of
+        :meth:`receive_batch`; raises :class:`BurstSyncError` when the
+        burst cannot be synchronized.
         """
-        if num_bits is None:
-            num_bits = self.bits_per_burst
-        if num_bits > self.bits_per_burst:
-            raise ValueError("num_bits exceeds burst capacity")
-        mf = fftconvolve(np.asarray(samples, dtype=np.complex128), self.pulse[::-1])
-        syms, tdiag = self._recover_timing(mf)
+        samples = np.asarray(samples, dtype=np.complex128)
+        res = self.receive_batch(samples[None], [num_bits])[0]
+        if isinstance(res, BurstSyncError):
+            raise res
+        return res
+
+    def receive_batch(self, samples: np.ndarray, num_bits=None) -> list:
+        """Demodulate a ``(C, n)`` stack of bursts, one per row.
+
+        ``num_bits`` is None (full payload), one int for every row, or a
+        per-row sequence of ints/None.  Returns one entry per row: the
+        :meth:`receive` diagnostics dict, or the row's
+        :class:`BurstSyncError` *instance* -- one row losing sync never
+        aborts the others.
+
+        Every stage runs across rows: one axis-wise matched filter, one
+        spectral line per row (reused by ``timing_lock``), one strobe
+        gather (or one lock-step Gardner loop), axis-wise UW correlation
+        and sliding-window energy, and last-axis reductions for phase,
+        demapping, ``carrier_lock`` and the M2M4 SNR.  Rows whose strobe
+        counts differ (their ``tau`` differs) run the UW search in
+        separate count groups, so each row searches exactly the symbols
+        a one-row call sees; all reductions stay on the contiguous last
+        axis, so every row is bit-identical to :meth:`receive`.
+        """
+        x = np.asarray(samples, dtype=np.complex128)
+        if x.ndim != 2:
+            raise ValueError(f"expected a (C, n) stack, got shape {x.shape}")
+        rows = x.shape[0]
+        wants = self._wanted_bits(num_bits, rows)
+        if rows == 0:
+            return []
+        mf = fftconvolve(x, self.pulse[None, ::-1], axes=-1)
+        syms, counts, tdiags, lock = self._recover_timing(mf)
 
         # optional feedforward CFO removal on the recovered symbols:
         # an M-power FFT estimate, resolvable to +-1/(2M) cycles/symbol
-        if self.cfo_recovery and len(syms) >= 8:
-            cfo = frequency_estimate(syms, order=self.psk.order)
-            syms = syms * np.exp(-2j * np.pi * cfo * np.arange(len(syms)))
-            tdiag["cfo"] = cfo
+        if self.cfo_recovery:
+            for r, k in enumerate(counts):
+                if k >= 8:
+                    cfo = frequency_estimate(syms[r, :k], order=self.psk.order)
+                    syms[r, :k] = syms[r, :k] * np.exp(-2j * np.pi * cfo * np.arange(k))
+                    tdiags[r]["cfo"] = cfo
 
-        # UW search over symbol offsets and the M-fold phase ambiguity.
+        results: list = [None] * rows
+        for r in np.flatnonzero(counts < self.burst.total):
+            results[r] = BurstSyncError("burst truncated: not enough recovered symbols")
+
+        # UW search over symbol offsets and the M-fold phase ambiguity,
+        # one count group at a time (conj(uw) correlated axis-wise)
         uw = self.uw
         nuw = len(uw)
-        if len(syms) < self.burst.total:
-            raise BurstSyncError("burst truncated: not enough recovered symbols")
-        # correlate conj(uw) against the symbol stream
-        corr = fftconvolve(syms, np.conj(uw[::-1]), mode="valid")
-        energy = np.convolve(np.abs(syms) ** 2, np.ones(nuw), mode="valid")
-        metric = np.abs(corr) / np.maximum(np.sqrt(energy * nuw), 1e-30)
-        pos = int(np.argmax(metric))
-        uw_metric = float(metric[pos])
+        synced = np.flatnonzero(counts >= self.burst.total)
+        pos = np.zeros(rows, dtype=np.int64)
+        uw_metric = np.zeros(rows)
+        for k in np.unique(counts[synced]):
+            group = synced[counts[synced] == k]
+            s = syms[group, :k]
+            corr = fftconvolve(s, np.conj(uw[::-1])[None, :], mode="valid", axes=-1)
+            energy = _sliding_sum(np.abs(s) ** 2, nuw)
+            metric = np.abs(corr) / np.maximum(np.sqrt(energy * nuw), 1e-30)
+            best = np.argmax(metric, axis=-1)
+            pos[group] = best
+            uw_metric[group] = metric[np.arange(len(group)), best]
 
         start = pos + nuw  # first payload symbol
-        payload = syms[start : start + self.burst.payload]
-        if len(payload) < self.burst.payload:
-            raise BurstSyncError("burst truncated after UW")
-        phase = data_aided_phase(syms[pos : pos + nuw], uw)
-        payload = payload * np.exp(-1j * phase)
-        bits = self.psk.demodulate_hard(payload)[:num_bits]
-        out = {
-            "bits": bits,
-            "symbols": payload,
-            "uw_metric": uw_metric,
-            "uw_position": pos,
-            "phase": phase,
-            # per-burst health diagnostics consumed by repro.robustness.fdir
-            "timing_lock": timing_lock_metric(mf, self.sps),
-            "carrier_lock": carrier_lock_metric(payload, self.psk.order),
-            "snr_db": estimate_snr_m2m4(payload),
-        }
-        out.update(tdiag)
-        return out
+        fits = start + self.burst.payload <= counts
+        for r in synced[~fits[synced]]:
+            results[r] = BurstSyncError("burst truncated after UW")
+        good = synced[fits[synced]]
+        if not len(good):
+            return results
+        if lock is None:
+            raise ValueError("burst too short for a lock metric")
+        flat = syms.reshape(-1)
+        first = good * syms.shape[1]  # flat index of each good row
+        payload = flat[(first + start[good])[:, None] + np.arange(self.burst.payload)]
+        uw_rx = flat[(first + pos[good])[:, None] + np.arange(nuw)]
+        phase = data_aided_phase(uw_rx, uw)
+        payload = payload * np.exp(-1j * phase)[:, None]
+        bits = self.psk.demodulate_hard(payload)
+        # per-burst health diagnostics consumed by repro.robustness.fdir
+        timing_lock = lock[good]
+        carrier_lock = carrier_lock_metric(payload, self.psk.order)
+        snr_db = estimate_snr_m2m4(payload)
+        for j, r in enumerate(good):
+            out = {
+                "bits": bits[j, : wants[r]],
+                "symbols": payload[j],
+                "uw_metric": float(uw_metric[r]),
+                "uw_position": int(pos[r]),
+                "phase": float(phase[j]),
+                "timing_lock": float(timing_lock[j]),
+                "carrier_lock": float(carrier_lock[j]),
+                "snr_db": float(snr_db[j]),
+            }
+            out.update(tdiags[r])
+            results[r] = out
+        return results

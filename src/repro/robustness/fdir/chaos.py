@@ -43,7 +43,6 @@ from ...dsp.modem import ebn0_to_sigma
 from ...dsp.tdma import BurstFormat, FramePlan, TdmaModem
 from ...fpga.device import Fpga
 from ...obs.probes import probe as _obs_probe
-from ...parallel import CarrierExecutor
 from ...sim.rng import RngRegistry
 from .arbiter import FdirArbiter
 from .degraded import DegradedModePolicy
@@ -123,19 +122,12 @@ def build_traffic_world(
     base_cn_db: float = BASE_CN_DB,
     down_cn_db: float = DOWN_CN_DB,
     required_ber: float = REQUIRED_BER,
-    executor: Optional[object] = None,
 ) -> "TrafficWorld":
     """Assemble an ``num_carriers``-carrier regenerative payload with full FDIR.
 
     The defaults reproduce the 3-carrier chaos-campaign world exactly;
     the scenario conformance engine (:mod:`repro.scenarios`) reuses this
     builder with spec-driven carrier counts and link budgets.
-
-    ``executor`` opts the payload's uplink demod fan-out into a
-    :class:`~repro.parallel.CarrierExecutor` -- pass an instance, or a
-    backend name (``"serial"`` / ``"threads"``) to build one with
-    auto-sized workers.  ``None`` (the default) keeps the reference
-    inline loop, so every pre-existing world is byte-for-byte unchanged.
     """
     if num_carriers < 2:
         raise ValueError("the MF-TDMA traffic world needs >= 2 carriers")
@@ -159,10 +151,6 @@ def build_traffic_world(
         channelizer_taps=8,
     )
     payload = RegenerativePayload(cfg, registry)
-    if executor is not None:
-        if isinstance(executor, str):
-            executor = CarrierExecutor(backend=executor)
-        payload.attach_executor(executor)
     payload.boot(modem="modem.tdma", decoder="decod.conv")
     # seed the on-board library so the §3.2 reconfiguration service can
     # fetch every personality the recovery ladder may ask for

@@ -39,7 +39,6 @@ from .oracles import (
 from .runner import ScenarioResult, ScenarioRunner, result_violations, run_scenario
 from .spec import (
     ContactSchedule,
-    ExecutorSpec,
     FadeSegment,
     FaultEvent,
     GroundLink,
@@ -55,7 +54,6 @@ __all__ = [
     "BatchScalarDecodeOracle",
     "CdmaBatchScalarOracle",
     "ContactSchedule",
-    "ExecutorSpec",
     "FadeSegment",
     "FaultEvent",
     "GoldenRecord",

@@ -237,23 +237,12 @@ class ScenarioRunner:
         spec = self.spec
         sim = Simulator()
         rngs = RngRegistry(derive_seed(spec.seed, "scenario", spec.name))
-        executor = None
-        if spec.executor is not None:
-            # throughput-only knob: the executor's determinism contract
-            # keeps bits, diagnostics and the trace hash identical to
-            # the serial reference, so golden records never depend on it
-            from ..parallel import CarrierExecutor
-
-            executor = CarrierExecutor(
-                backend=spec.executor.backend, workers=spec.executor.workers
-            )
         world = build_traffic_world(
             spec.seed,
             num_carriers=spec.num_carriers,
             base_cn_db=spec.link.base_cn_db,
             down_cn_db=spec.link.down_cn_db,
             required_ber=spec.link.required_ber,
-            executor=executor,
         )
         ground = Node(sim, "ncc", 1)
         space = Node(sim, "sat", 2)
@@ -531,8 +520,6 @@ class ScenarioRunner:
             metrics = self._collect(sim, world, ncc, gateway, tracer)
             trace_hash = tracer.hash()
             kind_counts = tracer.kind_counts()
-            if world.payload.executor is not None:
-                world.payload.executor.close()
         return ScenarioResult(
             spec=spec,
             completed=completed,

@@ -31,7 +31,6 @@ __all__ = [
     "EXECUTOR_BACKENDS",
     "FADE_SHAPES",
     "ContactSchedule",
-    "ExecutorSpec",
     "FaultEvent",
     "FadeSegment",
     "GroundLink",
@@ -54,9 +53,6 @@ CHANNEL_FAULT_KINDS = ("blank", "interference", "cfo")
 EQUIPMENT_FAULT_KINDS = ("seu.decoder", "latchup.demod")
 #: supported fade profile shapes
 FADE_SHAPES = ("step", "ramp")
-#: carrier-parallel uplink backends (mirrors :data:`repro.parallel.BACKENDS`;
-#: kept literal so the spec layer stays pure data with no runtime imports)
-EXECUTOR_BACKENDS = ("serial", "threads")
 
 
 @dataclass(frozen=True)
@@ -254,36 +250,6 @@ class ReconfigAction:
 
 
 @dataclass(frozen=True)
-class ExecutorSpec:
-    """Carrier-parallel execution of the scenario's uplink demod path.
-
-    When present, the runner attaches a
-    :class:`~repro.parallel.CarrierExecutor` to the world's payload so
-    every frame's per-carrier demodulation fans out across ``workers``
-    (``None`` = auto-size from the host).  This is a pure *throughput*
-    knob: the engine's determinism contract guarantees bit-identical
-    bits, diagnostics, FDIR deliveries and trace hashes across backends
-    and worker counts, so a spec with an executor produces the same
-    ``trace_hash`` as the serial reference -- only the wall-clock moves.
-    Omitted at its default (``None`` on the spec) from the canonical
-    JSON so pre-existing spec hashes cannot drift.
-    """
-
-    backend: str = "threads"
-    workers: Optional[int] = None
-
-    def problems(self) -> List[str]:
-        out = []
-        if self.backend not in EXECUTOR_BACKENDS:
-            out.append(
-                f"executor.backend {self.backend!r} not in {EXECUTOR_BACKENDS}"
-            )
-        if self.workers is not None and self.workers < 1:
-            out.append(f"executor.workers {self.workers} must be >= 1")
-        return out
-
-
-@dataclass(frozen=True)
 class ContactSchedule:
     """Ground-station visibility plan for the TC/TM link.
 
@@ -402,8 +368,6 @@ class ScenarioSpec:
     surge: Optional[SurgeProfile] = None
     #: ground-station visibility plan (None = permanent contact, no DTN)
     contacts: Optional[ContactSchedule] = None
-    #: carrier-parallel uplink execution (None = reference serial loop)
-    executor: Optional[ExecutorSpec] = None
     #: carriers expected in service at mission end (None = all)
     expected_final_active: Optional[int] = None
     #: trailing frames that must deliver cleanly at the expected width
@@ -446,8 +410,6 @@ class ScenarioSpec:
             out.extend(self.surge.problems(self.frames))
         if self.contacts is not None:
             out.extend(self.contacts.problems())
-        if self.executor is not None:
-            out.extend(self.executor.problems())
         return out
 
     def validate(self) -> "ScenarioSpec":
@@ -484,15 +446,13 @@ class ScenarioSpec:
     def to_dict(self) -> Dict[str, object]:
         """Plain JSON-able dict (tuples become lists).
 
-        Fields added after the golden corpus froze (``contacts``,
-        ``executor``) are omitted at their default so pre-existing spec
-        hashes cannot drift.
+        Fields added after the golden corpus froze (``contacts``) are
+        omitted at their default so pre-existing spec hashes cannot
+        drift.
         """
         d = asdict(self)
         if self.contacts is None:
             d.pop("contacts")
-        if self.executor is None:
-            d.pop("executor")
         return d
 
     @classmethod
@@ -520,14 +480,11 @@ class ScenarioSpec:
                     outages=tuple(tuple(o) for o in c.pop("outages", ())),
                     **c,
                 )
-            executor = (
-                ExecutorSpec(**d["executor"]) if d.get("executor") else None
-            )
         except TypeError as exc:
             raise ScenarioError(f"bad scenario dict: {exc}") from exc
         for key in (
             "traffic", "fades", "faults", "reconfigs", "link", "ground",
-            "surge", "contacts", "executor",
+            "surge", "contacts",
         ):
             d.pop(key, None)
         try:
@@ -540,7 +497,6 @@ class ScenarioSpec:
                 ground=ground,
                 surge=surge,
                 contacts=contacts,
-                executor=executor,
                 **d,
             )
         except TypeError as exc:

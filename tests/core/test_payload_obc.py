@@ -116,6 +116,28 @@ class TestPayloadChain:
         with pytest.raises(ValueError):
             pl.build_uplink([np.zeros(8, dtype=np.uint8)])
 
+    def test_dead_tdma_demod_reports_burst_width_silence(self):
+        """A dead TDMA demod's zero fill has its slot's burst width, not
+        the CDMA default of 128 bits."""
+        reg = RngRegistry(4)
+        pl = booted_payload(num_carriers=3)
+        width = pl.demods[0].behaviour().bits_per_burst
+        bits = [
+            reg.stream(f"c{k}").integers(0, 2, width).astype(np.uint8)
+            for k in range(3)
+        ]
+        wide = pl.build_uplink(bits)
+        pl.demods[1].fpga.power_off()
+        out = pl.process_uplink(wide)
+        assert [len(b) for b in out["bits"]] == [width, width, width]
+        assert "equipment_failed" in out["diagnostics"][1]
+        assert not np.any(out["bits"][1])
+        np.testing.assert_array_equal(out["bits"][2], bits[2])
+        # an unloaded slot (latch-up) falls back to the boot personality
+        pl.demods[1].unload()
+        out = pl.process_uplink(wide)
+        assert [len(b) for b in out["bits"]] == [width, width, width]
+
     def test_route_packets(self):
         pl = booted_payload()
         out = pl.route_packets([b"\x00aa", b"\x01bb", b"\xffzz"])

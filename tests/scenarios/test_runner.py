@@ -1,5 +1,6 @@
 """Runner-level behaviour: determinism regression, invariant reporting,
-exactly-once TC accounting, and the no-unseeded-RNG source audit."""
+exactly-once TC accounting, and the no-unseeded-RNG and no-wall-clock
+source audits."""
 
 import dataclasses
 import re
@@ -118,3 +119,29 @@ def test_no_unseeded_rng_in_src():
             if forbidden.search(line.split("#", 1)[0]):
                 offenders.append(f"{path.relative_to(SRC)}:{lineno}: {line.strip()}")
     assert not offenders, "unseeded RNG use in src/:\n" + "\n".join(offenders)
+
+
+#: modules allowed to read the wall clock (metrics-only timers)
+WALL_CLOCK_ALLOWLIST: frozenset = frozenset()
+
+
+def test_no_wall_clock_in_src():
+    """Nondeterminism audit: ``src/`` never reads the wall clock.
+
+    Wall-clock readings are noise that must stay out of traces and
+    results; the only legitimate use is a metrics-only stage timer,
+    which belongs on :data:`WALL_CLOCK_ALLOWLIST` (empty today).
+    """
+    forbidden = re.compile(
+        r"\b(time\.(perf_counter|time|monotonic)|datetime\.now)\b"
+        r"|from\s+time\s+import\s+.*\b(perf_counter|time|monotonic)\b"
+    )
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel in WALL_CLOCK_ALLOWLIST:
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if forbidden.search(line.split("#", 1)[0]):
+                offenders.append(f"{rel}:{lineno}: {line.strip()}")
+    assert not offenders, "wall-clock use in src/:\n" + "\n".join(offenders)

@@ -88,6 +88,24 @@ def test_from_dict_rejects_garbage():
         ScenarioSpec.from_dict({"name": "x", "frames": 4, "bogus_key": 1})
 
 
+def test_executor_knob_is_gone():
+    """Carriers batch inside the demodulator now; no spec, world or
+    payload carries a thread-executor knob, a serialized spec that
+    still names one is rejected, and spec hashes never saw the field."""
+    from repro.core import RegenerativePayload
+    from repro.robustness.fdir.chaos import build_traffic_world
+
+    spec = ScenarioSpec(name="no-executor", frames=5)
+    assert "executor" not in spec.to_dict()
+    assert ScenarioSpec.from_dict(spec.to_dict()).spec_hash() == spec.spec_hash()
+    legacy = {**spec.to_dict(), "executor": {"backend": "threads", "workers": 2}}
+    with pytest.raises(ScenarioError, match="bad scenario dict"):
+        ScenarioSpec.from_dict(legacy)
+    with pytest.raises(TypeError):
+        build_traffic_world(seed=5, executor="threads")
+    assert not hasattr(RegenerativePayload(), "executor")
+
+
 def test_spec_hash_is_sensitive_to_content():
     a = ScenarioSpec(name="h", frames=8)
     b = ScenarioSpec(name="h", frames=9)
