@@ -25,8 +25,8 @@ test-fdir:  ## traffic-plane FDIR: health monitors, recovery ladder, degraded mo
 test-overload:  ## demand-plane overload control: admission, backpressure, deadlines, brownout, surge chaos
 	$(PYTHON) -m pytest -m overload tests/
 
-test-perf:  ## batched burst-processing throughput baseline (prints bursts/sec tables)
-	$(PYTHON) -m pytest benchmarks/bench_perf_burst_batch.py -s
+test-perf:  ## batched burst-processing + EDAC memory throughput baselines (prints bursts/sec and bytes/sec tables)
+	$(PYTHON) -m pytest benchmarks/bench_perf_burst_batch.py benchmarks/bench_perf_edac.py -s
 
 test-tdma-perf:  ## batched MF-TDMA demod + polyphase multiplexer: equivalence suite + carriers/sec speedup gate
 	$(PYTHON) -m pytest -m perf tests/dsp/test_tdma_batch_equivalence.py benchmarks/bench_perf_tdma_batch.py -s

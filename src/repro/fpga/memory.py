@@ -6,6 +6,11 @@ a binary files library can be managed on-board").  Memory words are
 protected by a (72,64)-style SEC-DED extended Hamming code, the
 standard EDAC for spacecraft memories: single-bit upsets are corrected
 on read, double-bit upsets are detected and reported.
+
+Whole files are coded at once: ``store`` indexes a frozen 256 x 13
+codeword table with the file's bytes, and ``load``/``scrub`` decode
+every word of a file in one vectorised syndrome pass.
+``hamming_encode``/``hamming_decode`` are one-row views of those kernels.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..caching import freeze
 
 __all__ = ["OnboardMemory", "hamming_encode", "hamming_decode"]
 
@@ -23,24 +30,64 @@ _WORD_BITS = _DATA_BITS + _PARITY_BITS + _EXTRA  # 13
 
 # parity-check positions for Hamming(12,8): parity bits at positions
 # 1,2,4,8 (1-indexed); data at the rest.
-_POSITIONS = np.arange(1, _DATA_BITS + _PARITY_BITS + 1)
+_POSITIONS = np.arange(1, _DATA_BITS + _PARITY_BITS + 1, dtype=np.uint8)
 _DATA_POS = _POSITIONS[(_POSITIONS & (_POSITIONS - 1)) != 0]  # non powers of 2
 _PARITY_POS = _POSITIONS[(_POSITIONS & (_POSITIONS - 1)) == 0]
+
+# decode status codes, indexing _STATUS
+_OK, _CORRECTED, _DOUBLE = 0, 1, 2
+_STATUS = ("ok", "corrected", "double")
+
+
+def _syndrome(body: np.ndarray) -> np.ndarray:
+    """Per row of an ``(n, 12)`` bit matrix, the XOR of its set-bit positions."""
+    return np.bitwise_xor.reduce(body * _POSITIONS, axis=1)
+
+
+def _encode_table() -> np.ndarray:
+    """The 256 x 13 codeword of every byte, row ``b`` encoding byte ``b``."""
+    table = np.zeros((256, _WORD_BITS), dtype=np.uint8)
+    table[:, _DATA_POS - 1] = np.unpackbits(
+        np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+    )
+    # parity bits that zero the syndrome, then overall parity
+    table[:, _PARITY_POS - 1] = (_syndrome(table[:, :-1])[:, None] & _PARITY_POS) != 0
+    table[:, -1] = np.bitwise_xor.reduce(table[:, :-1], axis=1)
+    return freeze(table)
+
+
+#: read-only; ``_ENCODE[data]`` encodes a whole uint8 array at once
+_ENCODE = _encode_table()
+
+
+def _decode(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode an ``(n, 13)`` bit matrix; returns ``(bytes, status codes)``.
+
+    The syndrome of a row is the XOR of the positions of its set body
+    bits.  With odd overall parity a syndrome inside the 12-bit body is
+    a single error and is flipped back; one pointing past the body can
+    only come from three or more upsets and is uncorrectable, as is any
+    syndrome under even overall parity.  The bytes of uncorrectable rows
+    are read as stored.
+    """
+    body = words[:, :-1]
+    syndrome = _syndrome(body)
+    odd = np.bitwise_xor.reduce(words, axis=1).astype(bool)
+    single = odd & (syndrome != 0) & (syndrome <= len(_POSITIONS))
+    status = np.where(odd, _CORRECTED, _OK).astype(np.uint8)
+    status[(syndrome != 0) & ~single] = _DOUBLE
+    rows = np.flatnonzero(single)
+    body = body.copy()
+    body[rows, syndrome[rows] - 1] ^= 1
+    data = np.packbits(body[:, _DATA_POS - 1], axis=1, bitorder="little")[:, 0]
+    return data, status
 
 
 def hamming_encode(byte: int) -> np.ndarray:
     """Encode one byte into a 13-bit SEC-DED word (bit array)."""
     if not 0 <= byte < 256:
         raise ValueError("byte out of range")
-    word = np.zeros(_DATA_BITS + _PARITY_BITS, dtype=np.uint8)
-    data = [(byte >> i) & 1 for i in range(_DATA_BITS)]
-    for pos, bit in zip(_DATA_POS, data):
-        word[pos - 1] = bit
-    for p in _PARITY_POS:
-        covered = _POSITIONS[(np.bitwise_and(_POSITIONS, p)) != 0]
-        word[p - 1] = np.bitwise_xor.reduce(word[covered - 1])
-    overall = np.bitwise_xor.reduce(word)
-    return np.concatenate([word, [overall]]).astype(np.uint8)
+    return _ENCODE[[byte]][0]
 
 
 def hamming_decode(word: np.ndarray) -> tuple[int, str]:
@@ -51,27 +98,8 @@ def hamming_decode(word: np.ndarray) -> tuple[int, str]:
     word = np.asarray(word, dtype=np.uint8)
     if word.shape != (_WORD_BITS,):
         raise ValueError(f"word must have {_WORD_BITS} bits")
-    body = word[:-1].copy()
-    overall = int(np.bitwise_xor.reduce(word))
-    syndrome = 0
-    for p in _PARITY_POS:
-        covered = _POSITIONS[(np.bitwise_and(_POSITIONS, p)) != 0]
-        if np.bitwise_xor.reduce(body[covered - 1]):
-            syndrome |= int(p)
-    status = "ok"
-    if syndrome and overall:
-        # single error at position `syndrome` -> correct
-        body[syndrome - 1] ^= 1
-        status = "corrected"
-    elif syndrome and not overall:
-        status = "double"
-    elif not syndrome and overall:
-        # error in the overall parity bit itself
-        status = "corrected"
-    byte = 0
-    for i, pos in enumerate(_DATA_POS):
-        byte |= int(body[pos - 1]) << i
-    return byte, status
+    data, status = _decode(word[None])
+    return int(data[0]), _STATUS[status[0]]
 
 
 @dataclass
@@ -117,24 +145,18 @@ class OnboardMemory:
             raise MemoryError(
                 f"storing {len(data)} bytes exceeds free capacity {self.free_bytes + old}"
             )
-        words = np.vstack([hamming_encode(b) for b in data]) if data else np.zeros(
-            (0, _WORD_BITS), dtype=np.uint8
-        )
-        self._files[name] = _File(name, words)
+        self._files[name] = _File(name, _ENCODE[np.frombuffer(data, dtype=np.uint8)])
 
     def load(self, name: str) -> bytes:
         """Read a file, correcting single-bit upsets per byte.
 
         Raises :class:`IOError` on an uncorrectable (double) error.
         """
-        f = self._get(name)
-        out = bytearray()
-        for i in range(len(f.words)):
-            byte, status = hamming_decode(f.words[i])
-            if status == "double":
-                raise IOError(f"uncorrectable EDAC error in {name!r} at byte {i}")
-            out.append(byte)
-        return bytes(out)
+        data, status = _decode(self._get(name).words)
+        bad = np.flatnonzero(status == _DOUBLE)
+        if bad.size:
+            raise IOError(f"uncorrectable EDAC error in {name!r} at byte {bad[0]}")
+        return data.tobytes()
 
     def delete(self, name: str) -> None:
         """Remove a file (§3.2 step 4: 'unload the binary file')."""
@@ -157,10 +179,12 @@ class OnboardMemory:
         names = sorted(self._files)
         sizes = np.array([self._files[n].words.size for n in names])
         bounds = np.cumsum(sizes)
-        for idx in rng.integers(0, total, size=count):
-            fi = int(np.searchsorted(bounds, idx, side="right"))
-            local = idx - (bounds[fi - 1] if fi else 0)
-            self._files[names[fi]].words.reshape(-1)[local] ^= 1
+        idx = rng.integers(0, total, size=count)
+        fi = np.searchsorted(bounds, idx, side="right")
+        local = idx - (bounds - sizes)[fi]
+        for k in np.unique(fi):
+            # unbuffered, so a bit drawn twice ends up unflipped
+            np.bitwise_xor.at(self._files[names[k]].words.reshape(-1), local[fi == k], 1)
 
     def scrub(self) -> int:
         """EDAC scrub: rewrite every byte from its corrected value.
@@ -170,10 +194,9 @@ class OnboardMemory:
         """
         fixed = 0
         for f in self._files.values():
-            for i in range(len(f.words)):
-                byte, status = hamming_decode(f.words[i])
-                if status == "corrected":
-                    f.words[i] = hamming_encode(byte)
-                    fixed += 1
+            data, status = _decode(f.words)
+            rows = np.flatnonzero(status == _CORRECTED)
+            f.words[rows] = _ENCODE[data[rows]]
+            fixed += rows.size
         self.scrub_corrections += fixed
         return fixed

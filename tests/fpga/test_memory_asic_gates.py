@@ -47,6 +47,13 @@ class TestHamming:
         _, status = hamming_decode(word)
         assert status == "double"
 
+    def test_syndrome_past_body_is_uncorrectable(self):
+        """Bits 0, 1 and 11 flipped give syndrome 15, past the 12-bit body."""
+        word = hamming_encode(0x5A)
+        word[[0, 1, 11]] ^= 1
+        _, status = hamming_decode(word)
+        assert status == "double"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             hamming_encode(256)
@@ -93,6 +100,17 @@ class TestOnboardMemory:
         fixed = m.scrub()
         assert fixed >= 1
         assert m.load("f") == bytes(2000)
+
+    def test_triple_upset_past_body_fails_load_and_survives_scrub(self):
+        m = OnboardMemory(1 << 10)
+        m.store("f", bytes([0x5A]) * 4)
+        words = m._files["f"].words
+        words[2, [0, 1, 11]] ^= 1
+        before = words.copy()
+        with pytest.raises(IOError, match="at byte 2"):
+            m.load("f")
+        assert m.scrub() == 0
+        assert np.array_equal(words, before)
 
     def test_used_free_accounting(self):
         m = OnboardMemory(capacity_bytes=100)
