@@ -17,6 +17,13 @@ from repro import obs
 from repro.net import Link, Node
 from repro.sim import RngRegistry, Simulator
 
+# Some benchmarks time a kernel against the reference implementation its
+# equivalence suite keeps in the ``tests`` package; make that package
+# importable whatever the working directory.
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if _REPO_ROOT not in sys.path:
+    sys.path.append(_REPO_ROOT)
+
 # ---------------------------------------------------------------------------
 # machine-readable results (REPRO_BENCH_JSON=1)
 #

@@ -9,13 +9,21 @@ implements:
   including the spec's trellis-termination tail (12 tail bits);
 - the TS 25.212 internal interleaver (prime-based intra-row permutations
   with least-primitive-root generators and the R5/R10/R20 inter-row
-  patterns);
+  patterns), cached per block length with its inverse;
 - an iterative max-log-MAP (BCJR) decoder with extrinsic exchange,
   batched over a leading block axis: :meth:`TurboCode.decode_batch`
-  runs every alpha/beta/gamma recursion across a ``(batch, n)`` stack
-  of code blocks at once, bit-identically to looping
-  :meth:`TurboCode.decode` (the scalar path delegates to the batched
-  kernel with ``batch == 1``).
+  runs every SISO across a ``(batch, n)`` stack of code blocks at once,
+  bit-identically to looping :meth:`TurboCode.decode` (the scalar path
+  delegates to the batched kernel with ``batch == 1``).
+
+The SISO (:class:`_Siso`) is a *fused* forward-backward recursion: the
+alpha (forward) and beta (backward) state metrics advance together in
+one ``(16, batch)`` state ``[alpha_t | beta_(T-t)]``, so each trellis
+step is one gather through the 32-entry table :data:`_STEP`, one add of
+a precomputed branch-metric plane and one ``np.maximum``.  Every
+candidate metric is the same single IEEE addition of the same two
+operands as in a textbook two-loop recursion, and ``max`` is exact, so
+the extrinsics are bitwise those of the two-loop form.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import numpy as np
 from ..caching import cached_design, freeze
 from ..obs.probes import probe
 
-__all__ = ["TurboCode", "umts_turbo_interleaver"]
+__all__ = ["TurboCode", "umts_turbo_deinterleaver", "umts_turbo_interleaver"]
 
 # ---------------------------------------------------------------------------
 # TS 25.212 internal interleaver
@@ -168,6 +176,16 @@ def umts_turbo_interleaver(k: int) -> np.ndarray:
     return freeze(out[out < k])
 
 
+@cached_design("coding.turbo_deinterleaver", maxsize=64)
+def umts_turbo_deinterleaver(k: int) -> np.ndarray:
+    """Read-only inverse of :func:`umts_turbo_interleaver` (``y[pi][inv] == y``).
+
+    Cached process-wide beside the interleaver, so loading a turbo
+    decoder does not re-run the ``argsort``.
+    """
+    return freeze(np.argsort(umts_turbo_interleaver(k)))
+
+
 # ---------------------------------------------------------------------------
 # RSC constituent trellis (g0 = 13, g1 = 15 octal; 8 states)
 # ---------------------------------------------------------------------------
@@ -204,21 +222,96 @@ for _s in range(_NSTATES):
     for _b in (0, 1):
         _NEXT[_s, _b], _PAR[_s, _b] = _rsc_step(_s, _b)
 
-# Predecessor tables for the batched alpha recursion: each RSC state
-# has exactly two (state, bit) predecessors, so the scatter-max
-# ``np.maximum.at(new, _NEXT.ravel(), cand.ravel())`` is equivalent to
-# a gather-max over the two flat ``(state, bit)`` candidate indices
-# (max is exact and order-independent, so the two forms are
-# bit-identical).
-_PRED_FLAT = np.empty((_NSTATES, 2), dtype=np.int64)
-_pred_count = np.zeros(_NSTATES, dtype=np.int64)
+# Fused forward-backward tables.  The SISO state is 16 rows,
+# ``[alpha_t | beta_(T-t)]``, and both halves take their two candidates
+# from the same ``(bit, row)`` layout: candidate ``b`` of alpha row
+# ``s'`` comes from the predecessor ``_PRED[b, s']`` through input bit
+# ``b``, candidate ``b`` of beta row ``8 + s`` from the successor
+# ``_NEXT[s, b]``.  ``_STEP`` is the 32-entry gather of one step and
+# ``_STEP_PSIGN`` the parity sign (+1 for parity 0) of each candidate's
+# branch.  Through a fixed input bit the RSC maps states one-to-one, so
+# every state has one predecessor per bit.
+_PRED = np.full((2, _NSTATES), -1, dtype=np.int64)
 for _s in range(_NSTATES):
     for _b in (0, 1):
-        _ns = int(_NEXT[_s, _b])
-        _PRED_FLAT[_ns, _pred_count[_ns]] = 2 * _s + _b
-        _pred_count[_ns] += 1
-assert np.all(_pred_count == 2), "RSC trellis is not a 2-predecessor butterfly"
-del _pred_count
+        _PRED[_b, _NEXT[_s, _b]] = _s
+assert np.all(_PRED >= 0), "RSC input bit does not permute the states"
+_STEP = freeze(np.concatenate([_PRED, _NSTATES + _NEXT.T], axis=1))
+_PSIGN = 1.0 - 2.0 * _PAR  # (state, bit)
+_STEP_PSIGN = freeze(
+    np.concatenate([_PSIGN[_PRED, [[0], [1]]], _PSIGN.T], axis=1)
+)
+#: systematic sign of input bit 0 / 1, broadcast over the branch plane
+_XSIGN = freeze(np.array([1.0, -1.0]).reshape(2, 1, 1, 1))
+
+
+class _Siso:
+    """Fused max-log-MAP SISO for one terminated RSC constituent.
+
+    Built once per :meth:`TurboCode.decode_batch` from the constituent's
+    ``(batch, K)`` systematic and parity LLRs (positive = bit 0) and its
+    ``(batch, 3)`` tail LLRs.  Everything that does not depend on the a
+    priori input is made here: the tail-padded, time-major systematic
+    LLRs, the parity term of every branch metric and the recursion
+    buffers.  Each call maps a ``(batch, K)`` a priori LLR to the
+    ``(batch, K)`` extrinsic LLR.
+
+    Layout, with ``T = K + 3`` trellis steps: row ``t`` of the state
+    history is ``[alpha_t | beta_(T-t)]``, shape ``(16, batch)``, so the
+    forward and backward recursions advance in one Python loop.  The
+    branch plane ``(T, 2, 16, batch)`` holds, for step ``t``, the alpha
+    branches of step ``t`` and the beta branches of step ``T-1-t``.
+    """
+
+    def __init__(
+        self,
+        lsys: np.ndarray,
+        lpar: np.ndarray,
+        tail_sys: np.ndarray,
+        tail_par: np.ndarray,
+    ):
+        nb, k = lsys.shape
+        steps = k + 3
+        self.lsys = lsys
+        self.ls = np.concatenate([lsys, tail_sys], axis=1).T  # (T, nb)
+        self.la = np.zeros_like(self.ls)  # a priori, zero on the tail
+        half_par = (0.5 * np.concatenate([lpar, tail_par], axis=1)).T
+        self.par = self._fold(half_par) * _STEP_PSIGN.reshape(2, 2, _NSTATES, 1)
+        self.hist = np.empty((steps, 2 * _NSTATES, nb))
+        self.hist[0] = -np.inf
+        self.hist[0, [0, _NSTATES]] = 0.0  # start and termination state 0
+        self.cand = np.empty((steps - 1, 2, 2 * _NSTATES, nb))
+
+    @staticmethod
+    def _fold(x: np.ndarray) -> np.ndarray:
+        """``(T, nb)`` per-step values -> ``(T, 1, 2, 1, nb)``: step ``t``
+        for the alpha half, step ``T-1-t`` for the beta half."""
+        return np.stack((x, x[::-1]), axis=1)[:, None, :, None, :]
+
+    def __call__(self, lapr: np.ndarray) -> np.ndarray:
+        nb, k = lapr.shape
+        steps = k + 3
+        self.la[:k] = lapr.T
+        half_in = 0.5 * (self.la + self.ls)
+        # branch metric 0.5*(la+ls)*x + 0.5*lp*p with x, p = +1 for bit 0
+        plane = (self._fold(half_in) * _XSIGN + self.par).reshape(
+            steps, 2, 2 * _NSTATES, nb
+        )
+        hist, cand = self.hist, self.cand
+        # one step: gather both candidates of every row, add the branch
+        # metrics, keep the larger (ndarray.take skips np.take's wrapper)
+        steps_io = zip(hist, plane, cand, cand[:, 0], cand[:, 1], hist[1:])
+        for x, g, c, c0, c1, out in steps_io:
+            x.take(_STEP, 0, c, "clip")
+            np.add(c, g, out=c)
+            np.maximum(c0, c1, out=out)
+        # alpha_t + gamma_t (the alpha candidates of step t, stored by
+        # input bit) + beta_(t+1) of the branch's end state, t < K
+        beta_next = hist[steps - 1 : steps - 1 - k : -1, None, _NSTATES:]
+        m = cand[:k, :, :_NSTATES] + beta_next
+        llr = m[:, 0].max(axis=1) - m[:, 1].max(axis=1)  # (k, nb)
+        # extrinsic: remove channel systematic and a priori
+        return llr.T - self.lsys - lapr
 
 
 class TurboCode:
@@ -243,7 +336,7 @@ class TurboCode:
         self.iterations = iterations
         self.ext_scale = ext_scale
         self.interleaver = umts_turbo_interleaver(block_length)
-        self.deinterleaver = np.argsort(self.interleaver)
+        self.deinterleaver = umts_turbo_deinterleaver(block_length)
 
     @property
     def encoded_length(self) -> int:
@@ -292,82 +385,6 @@ class TurboCode:
         return np.concatenate([body, tail])
 
     # -- decoding ----------------------------------------------------------
-    @staticmethod
-    def _siso_batch(
-        lsys: np.ndarray,
-        lpar: np.ndarray,
-        lapr: np.ndarray,
-        tail_sys: np.ndarray,
-        tail_par: np.ndarray,
-    ) -> np.ndarray:
-        """Batched max-log-MAP SISO for one terminated RSC constituent.
-
-        All inputs carry a leading batch axis: ``lsys``/``lpar``/
-        ``lapr`` are ``(batch, K)`` channel LLRs (positive = bit 0) and
-        ``tail_sys``/``tail_par`` are ``(batch, 3)``.  Returns the
-        ``(batch, K)`` extrinsic LLRs.  The alpha/beta recursions run
-        one trellis step at a time but across the whole batch and all
-        8 states at once; the per-bit LLR extraction is fully
-        vectorized over time *and* batch.
-        """
-        nb, k = lsys.shape
-        total = k + 3
-        # per-step (sys, par, apriori) with tail steps having no a priori
-        ls = np.concatenate([lsys, tail_sys], axis=1)  # (nb, total)
-        lp = np.concatenate([lpar, tail_par], axis=1)
-        la = np.concatenate([lapr, np.zeros((nb, 3))], axis=1)
-
-        # gamma[t, b, s, bit]: branch metric
-        # bit value mapping: 0 -> +1, 1 -> -1; metric = 0.5*(la+ls)*x + 0.5*lp*pv
-        xsign = np.array([1.0, -1.0])  # per input bit
-        psign = 1.0 - 2.0 * _PAR  # (8, 2)
-        half_in = (0.5 * (la + ls)).T  # (total, nb)
-        half_par = (0.5 * lp).T
-        gammas = (
-            half_in[:, :, None, None] * xsign[None, None, None, :]
-            + half_par[:, :, None, None] * psign[None, None, :, :]
-        )  # (total, nb, 8, 2)
-
-        alpha = np.full((total + 1, nb, _NSTATES), -np.inf)
-        alpha[0, :, 0] = 0.0
-        p0 = _PRED_FLAT[:, 0]
-        p1 = _PRED_FLAT[:, 1]
-        for t in range(total):
-            cand = (alpha[t][:, :, None] + gammas[t]).reshape(nb, 2 * _NSTATES)
-            # gather-max over the two (state, bit) predecessors; exactly
-            # the scatter-max over _NEXT, state by state
-            np.maximum(cand[:, p0], cand[:, p1], out=alpha[t + 1])
-
-        beta = np.full((total + 1, nb, _NSTATES), -np.inf)
-        beta[total, :, 0] = 0.0  # terminated
-        for t in range(total - 1, -1, -1):
-            # beta[t, s] = max_b gamma[t,s,b] + beta[t+1, next(s,b)]
-            beta[t] = np.max(gammas[t] + beta[t + 1][:, _NEXT], axis=2)
-
-        # LLR for data steps only, all steps at once
-        m = alpha[:k, :, :, None] + gammas[:k] + beta[1 : k + 1][:, :, _NEXT]
-        llr = m[..., 0].max(axis=2) - m[..., 1].max(axis=2)  # (k, nb)
-        # extrinsic: remove channel systematic and a priori
-        return llr.T - lsys - lapr
-
-    @staticmethod
-    def _siso(
-        lsys: np.ndarray,
-        lpar: np.ndarray,
-        lapr: np.ndarray,
-        tail_sys: np.ndarray,
-        tail_par: np.ndarray,
-    ) -> np.ndarray:
-        """Max-log-MAP SISO for one terminated RSC constituent.
-
-        Scalar convenience wrapper over :meth:`_siso_batch` (batch of
-        one), kept for API compatibility.
-        """
-        return TurboCode._siso_batch(
-            lsys[None, :], lpar[None, :], lapr[None, :],
-            tail_sys[None, :], tail_par[None, :],
-        )[0]
-
     def decode(self, llr: np.ndarray, return_iterations: bool = False):
         """Iteratively decode channel LLRs (positive = bit 0).
 
@@ -416,21 +433,21 @@ class TurboCode:
         t2s = tail[:, 6:12:2]
         t2p = tail[:, 7:12:2]
 
-        lsys_i = lsys[:, self.interleaver]
+        siso1 = _Siso(lsys, lz1, t1s, t1p)
+        siso2 = _Siso(lsys[:, self.interleaver], lz2, t2s, t2p)
         apr1 = np.zeros((nb, k))
         history = []
         for _ in range(self.iterations):
-            ext1 = self._siso_batch(lsys, lz1, apr1, t1s, t1p)
+            ext1 = siso1(apr1)
             ext1 *= self.ext_scale
-            apr2 = ext1[:, self.interleaver]
-            ext2 = self._siso_batch(lsys_i, lz2, apr2, t2s, t2p)
+            ext2 = siso2(ext1[:, self.interleaver])
             ext2 *= self.ext_scale
-            ext2_de = ext2[:, self.deinterleaver]
-            apr1 = ext2_de
+            apr1 = ext2[:, self.deinterleaver]
+            # one sum per iteration (float addition is not associative):
+            # the last history entry is exactly the returned bits
+            posterior = lsys + apr1 + ext1
             if return_iterations:
-                post = lsys + ext1 + ext2_de
-                history.append((post < 0).astype(np.uint8))
-        posterior = lsys + apr1 + ext1
+                history.append((posterior < 0).astype(np.uint8))
         bits = (posterior < 0).astype(np.uint8)
 
         p = probe("perf.turbo", k=str(k))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coding import TurboCode, umts_turbo_interleaver
+from repro.coding.turbo import umts_turbo_deinterleaver
 from repro.dsp.modem import ebn0_to_sigma, theoretical_ber_bpsk
 
 
@@ -18,6 +19,9 @@ class TestInterleaver:
         assert len(pi) == k
         assert len(np.unique(pi)) == k
         assert pi.min() == 0 and pi.max() == k - 1
+        inv = umts_turbo_deinterleaver(k)
+        np.testing.assert_array_equal(pi[inv], np.arange(k))
+        assert not inv.flags.writeable
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
