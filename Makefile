@@ -19,7 +19,7 @@ test-obs:  ## observability layer: metrics, tracing, golden traces, fault inject
 test-robustness:  ## fault-tolerance layer: retry, TC/TM transactions, watchdog, chaos sweeps
 	$(PYTHON) -m pytest tests/robustness/
 
-test-fdir:  ## traffic-plane FDIR: health monitors, recovery ladder, degraded modes, traffic chaos
+test-fdir:  ## traffic-plane FDIR: health monitors, recovery ladder, degraded modes, FDIR mission sweeps
 	$(PYTHON) -m pytest -m fdir tests/
 
 test-overload:  ## demand-plane overload control: admission, backpressure, deadlines, brownout, surge chaos

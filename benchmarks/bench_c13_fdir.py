@@ -1,56 +1,77 @@
 """C13 -- traffic-plane FDIR: detection latency + recovery time per fault class.
 
-Times the traffic-plane chaos sweep (every default scenario, one seed)
-over the live 3-carrier regenerative chain and prints the per-fault-class
-FDIR table: frames from fault onset to first alarm/action (detection
-latency), frames to clean delivery at the expected width (recovery
-time), the ladder actions taken, and the delivery rate.
+Times the catalog's FDIR missions (one per traffic-plane fault class
+plus the fault-free control, seed 0) through the mission runner over the
+live 3-carrier regenerative chain and prints the per-fault-class FDIR
+table: frames from fault onset to first alarm/action (detection
+latency), frames from onset to the clean tail at the expected width
+(recovery time), the FDIR actions taken, the delivery rate and the
+final service width.
 
-Run with ``REPRO_OBS=1`` and the stack's ``fdir_*`` counters --
-``fdir.health.trips``, ``fdir.arbiter.actions_*``,
-``fdir.degraded.sheds`` -- land in the exported metrics snapshot
-(``BENCH_METRICS.json``) via the session fixture in ``conftest.py``,
-the machine-checkable record that every injected fault was detected
-and recovered autonomously.
+Each mission's ``metrics`` carry the same record the stack's probes
+count -- arbiter actions, policy sheds/restores, alarm trips per
+carrier -- and :func:`repro.scenarios.result_violations` checks that
+every injected fault was detected in time and recovered autonomously.
 """
 
 from conftest import print_table
-from repro.robustness.fdir.chaos import (
-    TrafficChaosCampaign,
-    default_traffic_scenarios,
-    violations,
+from repro.scenarios import catalog_by_name, result_violations, run_scenario
+
+FDIR_MISSIONS = (
+    "nominal",
+    "lock-loss",
+    "interference",
+    "cfo-step",
+    "decoder-seu",
+    "demod-latchup",
+    "double-latchup",
+    "rain-fade",
 )
 
 
-def test_fdir_detection_and_recovery(benchmark):
-    def run():
-        campaign = TrafficChaosCampaign()
-        campaign.run(seeds=[0])
-        return campaign
+def _onset(spec):
+    starts = [ev.frame for ev in spec.faults] + [seg.start for seg in spec.fades]
+    return min(starts) if starts else None
 
-    campaign = benchmark.pedantic(run, rounds=1, iterations=1)
-    by_name = {s.name: s for s in campaign.scenarios}
+
+def _clean_tail_start(ok_history):
+    """First frame of the trailing run of clean frames (None if the last
+    frame failed)."""
+    for f in range(len(ok_history) - 1, -1, -1):
+        if not ok_history[f]:
+            return f + 1 if f + 1 < len(ok_history) else None
+    return 0
+
+
+def test_fdir_detection_and_recovery(benchmark):
+    catalog = catalog_by_name()
+
+    def run():
+        return [run_scenario(catalog[name]) for name in FDIR_MISSIONS]
+
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = []
-    for o in campaign.outcomes:
-        sc = by_name[o.scenario]
-        onset = sc.fault_start
-        detect = o.detection_latency
-        recover = (
-            o.recovery_frame - onset
-            if (onset is not None and o.recovery_frame is not None)
+    for r in results:
+        m = r.metrics
+        onset = _onset(r.spec)
+        detect = (
+            r.first_detection - onset
+            if onset is not None and r.first_detection is not None
             else None
         )
-        kinds = sorted({a[2] for a in o.actions} | {k for k, _, _ in o.policy_events})
+        tail = _clean_tail_start(r.frame_ok_history)
+        recover = tail - onset if onset is not None and tail is not None else None
+        kinds = sorted(set(m["actions"]) | set(m["policy_events"]))
         rows.append(
             [
-                o.scenario,
-                o.frames,
+                r.name,
+                r.spec.frames,
                 "-" if detect is None else detect,
                 "-" if recover is None else recover,
                 ",".join(kinds) or "-",
-                f"{o.delivery_rate:.2f}",
-                o.final_active,
-                len(violations(o, sc)),
+                f"{m['delivered'] / m['attempted']:.2f}",
+                m["final_active"],
+                len(result_violations(r)),
             ]
         )
     print_table(
@@ -68,40 +89,34 @@ def test_fdir_detection_and_recovery(benchmark):
         rows,
     )
     # every fault class: detected, recovered, zero invariant violations
-    assert all(o.completed for o in campaign.outcomes)
-    assert campaign.all_violations() == []
-    faulted = [
-        o
-        for o in campaign.outcomes
-        if by_name[o.scenario].fault_start is not None
-    ]
+    assert all(r.completed for r in results)
+    assert [v for r in results for v in result_violations(r)] == []
+    faulted = [r for r in results if _onset(r.spec) is not None]
     assert faulted and all(
-        o.detection_latency is not None for o in faulted
+        r.first_detection is not None for r in faulted
     ), "every injected fault must be detected"
     # detection is prompt: step faults are caught within 6 frames of
     # onset; the fade ramp grows from zero dB at onset, so its "latency"
     # is dominated by how long the fade takes to matter, not by the
     # monitors -- allow the ramp time
-    for o in faulted:
-        bound = 12 if o.scenario == "fade-ramp" else 6
-        assert o.detection_latency <= bound, (o.scenario, o.detection_latency)
+    for r in faulted:
+        bound = 12 if r.spec.fades else 6
+        latency = r.first_detection - _onset(r.spec)
+        assert latency <= bound, (r.name, latency)
 
 
 def test_fdir_steady_state_overhead(benchmark):
     """The fault-free control: monitoring the live chain is cheap and
     delivers everything."""
-    scenarios = [s for s in default_traffic_scenarios() if s.name == "nominal"]
-
-    def run():
-        campaign = TrafficChaosCampaign(scenarios)
-        campaign.run(seeds=[0])
-        return campaign.outcomes[0]
-
-    outcome = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(
-        f"nominal: {outcome.delivered}/{outcome.attempted} blocks delivered, "
-        f"{len(outcome.actions)} FDIR actions, "
-        f"{sum(outcome.trips_per_carrier.values())} alarms"
+    spec = catalog_by_name()["nominal"]
+    result = benchmark.pedantic(
+        lambda: run_scenario(spec), rounds=1, iterations=1
     )
-    assert outcome.delivered == outcome.attempted
-    assert not outcome.actions
+    m = result.metrics
+    print(
+        f"nominal: {m['delivered']}/{m['attempted']} blocks delivered, "
+        f"{sum(m['actions'].values())} FDIR actions, "
+        f"{sum(m['alarm_trips'].values())} alarms"
+    )
+    assert m["delivered"] == m["attempted"]
+    assert not m["actions"]

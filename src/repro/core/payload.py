@@ -198,8 +198,8 @@ class RegenerativePayload:
 
         Every subsequent :meth:`process_uplink` feeds each carrier's
         receive diagnostics to ``bank.observe_burst`` and every
-        :meth:`decode_block` carrying a ``carrier`` feeds the CRC
-        outcome to ``bank.observe_decode`` -- the FDIR detection path.
+        :meth:`decode_blocks` carrying ``carriers`` feeds the CRC
+        outcomes to ``bank.observe_decode`` -- the FDIR detection path.
         """
         self.health = bank
 
@@ -540,16 +540,9 @@ class RegenerativePayload:
             }
         return decoded
 
-    def decode_block(self, llr: np.ndarray, carrier: Optional[int] = None) -> dict:
-        """Run one transport block through the decoder personality.
-
-        ``carrier`` attributes the block to an uplink carrier so the
-        attached health bank's CRC-failure tracker sees the outcome.
-        """
-        result = self.decoder.behaviour().decode(llr)
-        if self.health is not None and carrier is not None:
-            self.health.observe_decode(carrier, bool(result.get("crc_ok")))
-        return result
+    def decode_block(self, llr: np.ndarray) -> dict:
+        """Run one transport block through the decoder personality."""
+        return self.decoder.behaviour().decode(llr)
 
     def decode_blocks(
         self, llrs: np.ndarray, carriers: Optional[List[int]] = None
@@ -563,8 +556,7 @@ class RegenerativePayload:
         ``batch`` scalar decodes.  Falls back to looping ``decode`` for
         personalities without a batched kernel.  ``carriers[i]``
         attributes block ``i`` to an uplink carrier so the attached
-        health bank's CRC tracker sees each outcome (same FDIR gating
-        as :meth:`decode_block`).
+        health bank's CRC tracker sees each outcome.
 
         Returns ``{"bits": (batch, transport_block), "crc_ok": bool
         array or None}``.

@@ -13,9 +13,9 @@ package turns them into autonomous recovery:
   recovery);
 - :mod:`.degraded` -- link-budget-driven carrier shedding under deep
   fades (graceful degradation);
-- :mod:`.chaos` -- the seeded traffic-plane fault campaign with
-  mechanical invariants (no silent corruption, no flapping, monotonic
-  degradation, full recovery).
+- :mod:`.chaos` -- the traffic-plane world (payload, DSP chain, cold
+  spares, watchdog and the three layers above) that the mission runner
+  (:mod:`repro.scenarios`) drives and judges.
 
 Import note: like :mod:`repro.robustness.chaos`, this package is kept
 out of the :mod:`repro.robustness` namespace exports so that importing

@@ -1,7 +1,7 @@
 """Overload chaos campaign: surge the demand plane, assert shed-before-collapse.
 
-The FDIR chaos campaign (:mod:`repro.robustness.fdir.chaos`) attacks the
-*signal* plane; this campaign attacks the *demand* plane.  Each scenario
+The FDIR missions of :mod:`repro.scenarios` attack the *signal* plane;
+this campaign attacks the *demand* plane.  Each scenario
 drives a frame-ticked model of the full overload-control stack --
 :class:`~repro.robustness.overload.admission.AdmissionController` at the
 ingress, per-class :class:`~repro.robustness.overload.queues.CoDelQueue`
@@ -228,8 +228,7 @@ class _FrameClock:
 class OverloadChaosCampaign:
     """Run every surge scenario across seeds; collect outcomes + violations.
 
-    Mirrors :class:`repro.robustness.fdir.chaos.TrafficChaosCampaign`:
-    deterministic per ``(seed, scenario)`` via
+    Deterministic per ``(seed, scenario)`` via
     :class:`~repro.sim.rng.RngRegistry` streams, mechanical invariants,
     ``overload.chaos`` probe counters.
     """

@@ -36,7 +36,13 @@ from .oracles import (
     VcModeOracle,
     run_default_oracles,
 )
-from .runner import ScenarioResult, ScenarioRunner, result_violations, run_scenario
+from .runner import (
+    ScenarioResult,
+    ScenarioRunner,
+    expected_actions,
+    result_violations,
+    run_scenario,
+)
 from .spec import (
     ContactSchedule,
     FadeSegment,
@@ -73,6 +79,7 @@ __all__ = [
     "catalog_by_name",
     "default_golden_dir",
     "diff_records",
+    "expected_actions",
     "load_corpus",
     "record_of",
     "regen_corpus",

@@ -2,12 +2,11 @@
 
 :func:`canonical_scenarios` returns the frozen mission set whose trace
 hashes and summary metrics live under ``tests/scenarios/golden/`` --
-one scenario per traffic-plane fault class the FDIR campaign exercises,
-plus the §3 reconfiguration missions (decoder swap, modem swap, lossy
-ground link) that only exist at this integration level.  Fault timing
-and magnitudes deliberately mirror the calibrated chaos campaign
-(onset at frame 8, 6-frame transients, 8 dB fade ramps) so every
-scenario lands in a regime the robustness suite already proves out.
+one scenario per traffic-plane FDIR fault class, plus the §3
+reconfiguration missions (decoder swap, modem swap, lossy ground link),
+demand surges and DTN contact plans.  Fault timing and magnitudes sit
+in the calibrated FDIR regime (onset at frame 8, 6-frame transients,
+8 dB fade ramps), where the recovery ladder converges.
 
 :func:`soak_grid` derives a deterministic pseudo-random grid of specs
 from a base seed for the seeded soak sweep -- same seed, same grid,

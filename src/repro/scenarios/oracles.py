@@ -136,7 +136,7 @@ class BatchScalarDecodeOracle:
                     llr = psk.demodulate_soft(syms, var)[
                         : chain.physical_bits
                     ]
-                    scalar = world.payload.decode_block(llr, carrier=None)
+                    scalar = world.payload.decode_block(llr)
                     if batched is None:
                         mismatches.append(
                             f"{personality} c{k}: scalar decoded but "

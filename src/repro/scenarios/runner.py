@@ -21,19 +21,21 @@ function of the spec: two runs of the same spec must hash identically,
 and the golden corpus freezes those hashes as the conformance oracle.
 :func:`result_violations` applies the cross-cutting invariants (no
 silent corruption, no flapping, monotonic degradation, recovery at the
-expected width, exactly-once TC execution) to any result.
+expected width, prompt fault detection, the FDIR actions the spec's
+faults and fades call for, exactly-once TC execution) to any result.
 """
 
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..core.linkbudget import shared_uplink_cn
+from ..core.linkbudget import regenerative_margin_db, shared_uplink_cn
 from ..dsp.demux import multiplex_carriers
 from ..dsp.modem import ebn0_to_sigma
 from ..ncc.campaign import NetworkControlCenter, SatelliteGateway
@@ -49,7 +51,12 @@ from ..robustness.dtn import (
     ResumableReceiver,
     ResumableUploader,
 )
-from ..robustness.fdir.chaos import TrafficWorld, build_traffic_world
+from ..robustness.fdir import LADDER
+from ..robustness.fdir.chaos import (
+    SHED_MARGIN_DB,
+    TrafficWorld,
+    build_traffic_world,
+)
 from ..robustness.overload.admission import AdmissionController
 from ..robustness.overload.brownout import BrownoutLadder
 from ..robustness.overload.deadline import Deadline
@@ -64,10 +71,13 @@ from .spec import (
 
 __all__ = [
     "MAX_ALARM_TRIPS",
+    "MAX_DETECTION_FRAMES",
+    "MAX_FADE_DETECTION_FRAMES",
     "MAX_POLICY_TRANSITIONS",
     "MAX_UPLOAD_OVERHEAD",
     "ScenarioResult",
     "ScenarioRunner",
+    "expected_actions",
     "result_violations",
     "run_scenario",
 ]
@@ -76,9 +86,30 @@ __all__ = [
 #: missions retain every event; evictions would still be deterministic)
 TRACE_CAPACITY = 32768
 
-#: flapping bounds shared with the FDIR chaos campaign
+#: flapping bounds: alarm trips and shed/restore transitions per carrier
 MAX_ALARM_TRIPS = 3
 MAX_POLICY_TRANSITIONS = 3
+
+#: the first alarm or arbiter action must come within this many frames
+#: of the earliest fault onset; a fade ramp grows from 0 dB at onset, so
+#: it gets the ramp time to matter
+MAX_DETECTION_FRAMES = 6
+MAX_FADE_DETECTION_FRAMES = 12
+
+#: FDIR action kinds (arbiter actions plus degraded-mode policy events)
+#: a mission with no fault and no fade must never take
+FDIR_ACTIONS = frozenset(LADDER + ("terminal", "decoder_reload", "shed"))
+#: (required, forbidden) action kinds per fault class; the ladder must
+#: clear these faults without losing equipment or capacity
+_CONTAINED = ("isolate", "terminal", "shed")
+_ACTION_RULES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "blank": (("reacquire",), _CONTAINED),
+    "interference": (("reacquire",), _CONTAINED),
+    "cfo": (("fallback",), _CONTAINED),
+    "seu.decoder": (("decoder_reload",), _CONTAINED),
+    "latchup": (("isolate",), ("terminal", "shed")),
+    "double-latchup": (("isolate", "terminal"), ()),
+}
 
 #: extra simulated seconds granted beyond the mission for campaign
 #: retries to drain before the no-hang invariant trips
@@ -96,8 +127,9 @@ class ScenarioResult:
 
     ``metrics`` is flat JSON-able data (the golden summary);
     ``kind_counts`` maps trace-event kinds to counts so a hash drift
-    diffs down to *which* event stream diverged; the histories feed the
-    invariant checks.
+    diffs down to *which* event stream diverged; the histories and
+    ``first_detection`` (the first frame with a tripped health alarm or
+    an arbiter action) feed the invariant checks.
     """
 
     spec: ScenarioSpec
@@ -109,6 +141,7 @@ class ScenarioResult:
     active_history: List[int] = field(default_factory=list)
     severity_history: List[float] = field(default_factory=list)
     frame_ok_history: List[bool] = field(default_factory=list)
+    first_detection: Optional[int] = None
 
     @property
     def name(self) -> str:
@@ -467,7 +500,10 @@ class ScenarioRunner:
                     frame_ok = False
         else:
             frame_ok = expected_final == 0
+        tripped = bool(world.bank.tripped_carriers())
         world.arbiter.step(served=active)
+        if self.first_detection is None and (tripped or world.arbiter.actions):
+            self.first_detection = f
         world.policy.update(cn)
         self.active_history.append(len(world.policy.active_carriers))
         self.severity_history.append(severity)
@@ -500,6 +536,7 @@ class ScenarioRunner:
         self.active_history: List[int] = []
         self.severity_history: List[float] = []
         self.frame_ok_history: List[bool] = []
+        self.first_detection: Optional[int] = None
         completed, error = True, None
         with obs.session(tracer=Tracer(capacity=TRACE_CAPACITY)) as (_, tracer):
             sim, rngs, world, ncc, gateway = self._build()
@@ -530,6 +567,7 @@ class ScenarioRunner:
             active_history=self.active_history,
             severity_history=self.severity_history,
             frame_ok_history=self.frame_ok_history,
+            first_detection=self.first_detection,
         )
 
     def _collect(self, sim, world, ncc, gateway, tracer) -> Dict[str, object]:
@@ -610,6 +648,70 @@ class ScenarioRunner:
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Convenience: validate, compile and run one scenario."""
     return ScenarioRunner(spec).run()
+
+
+def _fade_forces_shed(spec: ScenarioSpec) -> bool:
+    """Does the fade's peak take the full-width margin below the shed
+    threshold of the world's degraded-mode policy?"""
+    peak = max(spec.fade_db(f) for f in range(spec.frames))
+    n = spec.num_carriers
+    cn = shared_uplink_cn(spec.link.base_cn_db, peak, n, n)
+    margin = regenerative_margin_db(
+        cn, spec.link.down_cn_db, spec.link.required_ber
+    )
+    return margin < SHED_MARGIN_DB
+
+
+def expected_actions(
+    spec: ScenarioSpec,
+) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """FDIR action kinds ``spec``'s faults and fades require and forbid.
+
+    Each fault class contributes one rule from :data:`_ACTION_RULES`
+    (two latch-ups on one carrier are a terminal double fault); a fade
+    must shed and restore when its peak drives the margin below the
+    policy's shed threshold, and must never isolate.  With several
+    classes present, ``required`` is the union of the rules and
+    ``forbidden`` their intersection; with none, every
+    :data:`FDIR_ACTIONS` kind is forbidden.
+    """
+    rules = [
+        _ACTION_RULES[ev.kind] for ev in spec.faults if ev.kind in _ACTION_RULES
+    ]
+    latchups = Counter(
+        ev.carrier for ev in spec.faults if ev.kind == "latchup.demod"
+    )
+    rules += [
+        _ACTION_RULES["double-latchup" if n > 1 else "latchup"]
+        for n in latchups.values()
+    ]
+    if spec.fades:
+        required = ("shed", "restore") if _fade_forces_shed(spec) else ()
+        rules.append((required, ("isolate", "terminal")))
+    if not rules:
+        return frozenset(), FDIR_ACTIONS
+    required = frozenset(k for req, _ in rules for k in req)
+    forbidden = frozenset.intersection(*(frozenset(f) for _, f in rules))
+    return required, forbidden
+
+
+def _detection_violations(result: ScenarioResult) -> List[str]:
+    """The first alarm or arbiter action must follow the faults promptly."""
+    spec = result.spec
+    deadlines = []
+    if spec.faults:
+        onset = min(ev.frame for ev in spec.faults)
+        deadlines.append(("fault", onset, MAX_DETECTION_FRAMES))
+    if spec.fades and _fade_forces_shed(spec):
+        onset = min(seg.start for seg in spec.fades)
+        deadlines.append(("fade", onset, MAX_FADE_DETECTION_FRAMES))
+    seen = result.first_detection
+    return [
+        f"late detection: {what} onset at frame {onset}, first alarm or "
+        f"action at frame {seen} (bound {bound} frames)"
+        for what, onset, bound in deadlines
+        if seen is None or seen - onset > bound
+    ]
 
 
 def _overload_violations(spec: ScenarioSpec, ov: Dict) -> List[str]:
@@ -707,6 +809,13 @@ def result_violations(result: ScenarioResult) -> List[str]:
                 f"no recovery: only {sum(tail)}/{len(tail)} clean frames "
                 "in the recovery tail"
             )
+    kinds = set(m["actions"]) | set(m["policy_events"])
+    required, forbidden = expected_actions(spec)
+    for kind in sorted(required - kinds):
+        v.append(f"expected FDIR action {kind!r} never happened")
+    for kind in sorted(forbidden & kinds):
+        v.append(f"forbidden FDIR action {kind!r} happened")
+    v.extend(_detection_violations(result))
     if spec.surge is not None:
         ov = m.get("overload")
         if ov is None:

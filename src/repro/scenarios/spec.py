@@ -60,7 +60,7 @@ class TrafficMix:
     """Per-carrier burst occupancy for the MF-TDMA uplink.
 
     ``occupancy`` is the probability a carrier offers a burst in a given
-    frame (1.0 = every carrier every frame, the chaos-campaign load).
+    frame (1.0 = every carrier every frame, the FDIR missions' load).
     ``weights`` optionally biases it per carrier (carrier ``k`` offers a
     burst with probability ``occupancy * weights[k]``).
     """

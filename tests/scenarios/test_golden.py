@@ -1,5 +1,6 @@
 """Golden-trace conformance: every canonical mission must reproduce its
-frozen trace hash and summary metrics -- twice in a row."""
+frozen trace hash and summary metrics -- twice in a row -- and hold
+every invariant."""
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.scenarios import (
     diff_records,
     load_corpus,
     record_of,
+    result_violations,
     run_scenario,
 )
 
@@ -38,7 +40,9 @@ def test_scenario_matches_golden_record_twice(spec, corpus):
         f"{spec.name}: the catalog spec changed but the golden record was "
         "not regenerated (python -m repro.scenarios --regen)"
     )
-    first = record_of(run_scenario(spec))
+    result = run_scenario(spec)
+    assert result_violations(result) == []
+    first = record_of(result)
     drift = diff_records(frozen, first)
     assert not drift, (
         f"{spec.name} diverged from its golden record:\n  "

@@ -69,8 +69,8 @@ def test_rigged_scalar_decode_disagreement_is_detected(monkeypatch):
     """Corrupt the scalar path and the oracle must say *where* it broke."""
     real = RegenerativePayload.decode_block
 
-    def corrupted(self, llr, carrier=None):
-        out = real(self, llr, carrier=carrier)
+    def corrupted(self, llr):
+        out = real(self, llr)
         bits = np.array(out["bits"], copy=True)
         if len(bits):
             bits[0] ^= 1

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from repro.scenarios import (
+    FadeSegment,
     FaultEvent,
     ScenarioError,
     ScenarioSpec,
+    expected_actions,
     result_violations,
     run_scenario,
 )
@@ -66,6 +68,63 @@ def test_violation_messages_name_the_broken_invariant():
     assert any("no recovery" in v for v in result_violations(rigged))
     rigged = dataclasses.replace(result, completed=False, error="Boom: x")
     assert any("did not complete" in v for v in result_violations(rigged))
+    # a fault-free mission must take no FDIR action
+    rigged = dataclasses.replace(
+        result,
+        metrics={
+            **result.metrics,
+            "actions": {"reacquire": 1},
+            "policy_events": {"shed": 1},
+        },
+    )
+    assert result_violations(rigged) == [
+        "forbidden FDIR action 'reacquire' happened",
+        "forbidden FDIR action 'shed' happened",
+    ]
+    # a lock loss must be detected promptly and reacquired
+    blank = _tiny(faults=(FaultEvent(frame=1, kind="blank", carrier=1),))
+    rigged = dataclasses.replace(result, spec=blank, first_detection=1)
+    assert result_violations(rigged) == [
+        "expected FDIR action 'reacquire' never happened"
+    ]
+    rigged = dataclasses.replace(
+        rigged,
+        metrics={**result.metrics, "actions": {"reacquire": 1}},
+        first_detection=None,
+    )
+    assert any("late detection" in v for v in result_violations(rigged))
+    rigged = dataclasses.replace(rigged, first_detection=8)
+    assert any("late detection" in v for v in result_violations(rigged))
+
+
+def test_action_expectations_follow_faults_and_link_budget():
+    def fade(peak_db):
+        return (FadeSegment(start=1, end=5, peak_db=peak_db),)
+
+    # only a fade deep enough to breach the shed margin must shed
+    assert expected_actions(_tiny(fades=fade(8.0))) == (
+        {"shed", "restore"},
+        {"isolate", "terminal"},
+    )
+    assert expected_actions(_tiny(fades=fade(1.0))) == (
+        set(),
+        {"isolate", "terminal"},
+    )
+    latchup = FaultEvent(frame=1, kind="latchup.demod", carrier=0)
+    assert expected_actions(_tiny(faults=(latchup,))) == (
+        {"isolate"},
+        {"terminal", "shed"},
+    )
+    assert expected_actions(_tiny(faults=(latchup, latchup))) == (
+        {"isolate", "terminal"},
+        set(),
+    )
+    # several classes: required is the union, forbidden the intersection
+    blank = FaultEvent(frame=1, kind="blank", carrier=1)
+    assert expected_actions(_tiny(faults=(blank,), fades=fade(8.0))) == (
+        {"reacquire", "shed", "restore"},
+        {"isolate", "terminal"},
+    )
 
 
 def test_exactly_once_over_lossy_ground_link():
