@@ -1,4 +1,4 @@
-"""Tests for the traffic-plane world and its FDIR recovery-ladder arbiter.
+"""Tests for the FDIR recovery-ladder arbiter.
 
 Uses the mission runner's traffic world as the fixture (3 carriers,
 redundant demod pairs, seeded library, watchdog, degraded-mode policy)
@@ -41,22 +41,6 @@ def feed(world, carrier, diag, n=1):
 def trip(world, carrier, diag=None):
     feed(world, carrier, diag or NOISE, n=world.bank.thresholds.trip_count)
     assert world.bank.monitor(carrier).tripped
-
-
-class TestWorld:
-    def test_world_is_fully_wired(self, world):
-        assert len(world.pairs) == 3
-        assert all(p.spare.loaded_design is None for p in world.pairs)
-        assert world.payload.decoder.loaded_design == "decod.conv"
-        assert world.payload.health is world.bank
-        # the library holds every personality the ladder may need
-        for design in ("modem.tdma", "modem.tdma.robust", "decod.conv"):
-            assert world.payload.obc.library.fetch(design) is not None
-
-    def test_one_coded_block_exactly_fills_a_burst(self, world):
-        chain = world.payload.registry.get("decod.conv").factory()
-        modem = world.ground_modem("modem.tdma")
-        assert chain.physical_bits == modem.bits_per_burst
 
 
 class TestLadder:
