@@ -22,7 +22,7 @@ test-robustness:  ## fault-tolerance layer: retry, TC/TM transactions, watchdog,
 test-fdir:  ## traffic-plane FDIR: health monitors, recovery ladder, degraded modes, FDIR mission sweeps
 	$(PYTHON) -m pytest -m fdir tests/
 
-test-overload:  ## demand-plane overload control: admission, backpressure, deadlines, brownout, surge chaos
+test-overload:  ## demand-plane overload control: admission, backpressure, deadlines, brownout, breaker, overload mission sweep
 	$(PYTHON) -m pytest -m overload tests/
 
 test-perf:  ## batched burst-processing + EDAC memory throughput baselines (prints bursts/sec and bytes/sec tables)

@@ -1,53 +1,61 @@
 """C14 -- demand-plane overload control: shed-before-collapse under surge.
 
-Times the overload chaos sweep (every surge scenario, one seed, each
-with a same-seed nominal baseline) through the full control stack --
-ingress admission, bounded CoDel class queues, per-class deadline
-budgets, the brownout ladder, the link-budget-coupled capacity and the
-servicing circuit breaker -- and prints the per-scenario table: offered
-vs admitted vs served load, p0 goodput against the nominal baseline,
-brownout ladder actions and breaker trips.
+Times the four overload missions (:func:`overload_missions`, seed 0),
+each run through :func:`run_scenario` next to its same-seed nominal
+counterpart, through the full control stack -- ingress admission,
+bounded CoDel class queues, per-class deadline budgets, the brownout
+ladder, the link-budget-coupled capacity and the servicing circuit
+breaker -- and prints the per-mission table: offered vs admitted vs
+served load, p0 goodput against the nominal run, brownout ladder
+actions and breaker trips.
 
-Run with ``REPRO_OBS=1`` and the stack's ``overload_*`` series --
-``overload.admission.rejected_*``, ``overload.queue.dropped``,
-``overload.codel.shed``, ``overload.brownout.shed_*`` -- land in the
-exported metrics snapshot (``BENCH_METRICS.json``) via the session
-fixture in ``conftest.py``; with ``REPRO_BENCH_JSON=1`` the table is
-captured into ``BENCH_c14_overload.json``.
+With ``REPRO_BENCH_JSON=1`` the table is captured into
+``BENCH_c14_overload.json``.
 """
 
 from conftest import print_table
-from repro.robustness.overload.chaos import OverloadChaosCampaign
+from repro.scenarios import (
+    catalog_by_name,
+    goodput_violations,
+    nominal_counterpart,
+    overload_missions,
+    result_violations,
+    run_scenario,
+)
 
 
 def test_overload_shed_before_collapse(benchmark):
     def run():
-        campaign = OverloadChaosCampaign(seeds=[0])
-        campaign.run()
-        return campaign
+        return [
+            (run_scenario(spec), run_scenario(nominal_counterpart(spec)))
+            for spec in overload_missions()
+        ]
 
-    campaign = benchmark.pedantic(run, rounds=1, iterations=1)
+    pairs = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = []
-    for o in campaign.outcomes:
-        if o.nominal_run:
-            continue
-        offered = sum(o.arrivals.values())
-        admitted = sum(o.admitted.values())
-        served = sum(o.served_ok.values())
-        base_p0 = o.baseline_served_ok.get("p0", 0)
-        p0_ratio = o.served_ok["p0"] / base_p0 if base_p0 else float("nan")
+    violations = []
+    for result, nominal in pairs:
+        ov = result.metrics["overload"]
+        base_p0 = nominal.metrics["overload"]["served"]["p0"]
+        p0_ratio = ov["served"]["p0"] / base_p0 if base_p0 else float("nan")
+        viol = (
+            result_violations(result)
+            + result_violations(nominal)
+            + goodput_violations(result, nominal)
+        )
+        violations += viol
         rows.append(
             [
-                o.scenario.name,
-                o.scenario.frames,
-                offered,
-                admitted,
-                served,
+                result.name,
+                result.spec.frames,
+                sum(ov["arrivals"].values()),
+                sum(ov["admitted"].values()),
+                sum(ov["served"].values()),
                 f"{p0_ratio:.2f}",
-                o.ladder_stats["shed_events"],
-                o.ladder_stats["restore_events"],
-                "-" if o.breaker_stats is None else o.breaker_stats["trips"],
-                len(o.violations()),
+                ov["ladder"]["shed_events"],
+                ov["ladder"]["restore_events"],
+                ov["breaker"]["trips"],
+                len(viol),
             ]
         )
     print_table(
@@ -66,29 +74,29 @@ def test_overload_shed_before_collapse(benchmark):
         ],
         rows,
     )
-    assert all(o.completed for o in campaign.outcomes)
-    assert campaign.all_violations() == []
-    # every surge scenario actually pushed past capacity and shed load
-    surges = [o for o in campaign.outcomes if not o.nominal_run]
-    assert surges and all(sum(o.rejected.values()) > 0 for o in surges)
+    assert all(r.completed and n.completed for r, n in pairs)
+    assert violations == []
+    # every surge mission actually pushed past capacity and shed load
+    assert pairs and all(
+        sum(r.metrics["overload"]["rejected"].values()) > 0 for r, _ in pairs
+    )
 
 
 def test_overload_nominal_overhead(benchmark):
     """The clean-traffic control: admission at nominal load rejects
     (almost) nothing and the brownout ladder never engages."""
-
-    def run():
-        campaign = OverloadChaosCampaign(seeds=[0])
-        sc = campaign.scenarios[0]
-        return campaign.run_one(sc, 0, nominal=True)
-
-    outcome = benchmark.pedantic(run, rounds=1, iterations=1)
-    offered = sum(outcome.arrivals.values())
-    rejected = sum(outcome.rejected.values())
-    print(
-        f"nominal: {sum(outcome.served_ok.values())}/{offered} served, "
-        f"{rejected} rejected, {len(outcome.ladder_history)} ladder actions"
+    spec = nominal_counterpart(catalog_by_name()["flash-crowd"])
+    assert spec.surge.multiplier == 1.0
+    result = benchmark.pedantic(
+        run_scenario, args=(spec,), rounds=1, iterations=1
     )
-    assert outcome.violations() == []
+    ov = result.metrics["overload"]
+    offered = sum(ov["arrivals"].values())
+    rejected = sum(ov["rejected"].values())
+    print(
+        f"nominal: {sum(ov['served'].values())}/{offered} served, "
+        f"{rejected} rejected, {len(ov['ladder_history'])} ladder actions"
+    )
+    assert result_violations(result) == []
     assert rejected <= 0.01 * offered
-    assert not outcome.ladder_history
+    assert not ov["ladder_history"]

@@ -21,18 +21,16 @@ capacity**.  The defense is layered, cheapest first:
    classes first and restores with hysteresis + dwell (no flapping),
    composing with the FDIR ``DegradedModePolicy``'s carrier shedding.
 
-:mod:`.chaos` holds the :class:`OverloadChaosCampaign` (flash crowd,
-sustained 10x surge, surge during rain fade, surge during FDIR
-recovery) with shed-before-collapse invariants; like the other chaos
-harnesses it is imported as a submodule, not re-exported here, to keep
-this namespace free of the payload/FDIR stack.
+The mission runner (:mod:`repro.scenarios.runner`) composes these into
+the demand plane of every surge mission and judges it;
+:func:`repro.scenarios.overload_missions` holds the four attacks.
 
 All decisions emit ``overload.*`` metrics and trace events through
 :mod:`repro.obs`.  See ``docs/robustness.md`` for the full semantics.
 """
 
 from .admission import PRIORITY_CLASSES, AdmissionController, TokenBucket
-from .brownout import BrownoutLadder, CircuitBreaker, CircuitOpen
+from .brownout import BrownoutLadder, CircuitBreaker
 from .deadline import Deadline, DeadlineExceeded
 from .queues import BoundedQueue, CoDelQueue
 
@@ -41,7 +39,6 @@ __all__ = [
     "BoundedQueue",
     "BrownoutLadder",
     "CircuitBreaker",
-    "CircuitOpen",
     "CoDelQueue",
     "Deadline",
     "DeadlineExceeded",

@@ -173,11 +173,6 @@ class AdmissionController:
         if p is not None:
             p.gauge("capacity", capacity)
 
-    def set_shares(self, shares: Dict[str, float]) -> None:
-        """Re-split capacity across classes (e.g. a new demand forecast)."""
-        self._shares = self._normalize(shares)
-        self.set_capacity(self.capacity)
-
     @property
     def shares(self) -> Dict[str, float]:
         return dict(self._shares)

@@ -28,11 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...obs.probes import probe as _obs_probe
 
-__all__ = ["CircuitBreaker", "CircuitOpen", "BrownoutLadder"]
-
-
-class CircuitOpen(RuntimeError):
-    """Raised (or signalled) when the breaker rejects a call fast."""
+__all__ = ["CircuitBreaker", "BrownoutLadder"]
 
 
 class CircuitBreaker:
@@ -211,10 +207,6 @@ class BrownoutLadder:
     def level(self) -> int:
         """How many rungs deep the brownout currently is."""
         return len(self._shed)
-
-    def thresholds_of(self, cls_name: str) -> Tuple[float, float]:
-        """(shed, restore) pressure thresholds for a rung."""
-        return self._thresholds[cls_name]
 
     def update(self, pressure: float) -> List[Tuple[str, str]]:
         """Advance the ladder; returns ``(action, class)`` taken now."""

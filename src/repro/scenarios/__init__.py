@@ -20,6 +20,7 @@ Three verification layers ride on top:
 """
 
 from .catalog import canonical_scenarios, catalog_by_name, soak_grid
+from .catalog import overload_missions
 from .corpus import (
     GoldenRecord,
     default_golden_dir,
@@ -40,6 +41,8 @@ from .runner import (
     ScenarioResult,
     ScenarioRunner,
     expected_actions,
+    goodput_violations,
+    nominal_counterpart,
     result_violations,
     run_scenario,
 )
@@ -80,7 +83,10 @@ __all__ = [
     "default_golden_dir",
     "diff_records",
     "expected_actions",
+    "goodput_violations",
     "load_corpus",
+    "nominal_counterpart",
+    "overload_missions",
     "record_of",
     "regen_corpus",
     "result_violations",

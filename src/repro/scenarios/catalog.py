@@ -8,6 +8,9 @@ demand surges and DTN contact plans.  Fault timing and magnitudes sit
 in the calibrated FDIR regime (onset at frame 8, 6-frame transients,
 8 dB fade ramps), where the recovery ladder converges.
 
+:func:`overload_missions` adds two long demand-plane attacks, judged
+like any mission but not frozen.
+
 :func:`soak_grid` derives a deterministic pseudo-random grid of specs
 from a base seed for the seeded soak sweep -- same seed, same grid,
 forever.
@@ -30,7 +33,12 @@ from .spec import (
     TrafficMix,
 )
 
-__all__ = ["canonical_scenarios", "catalog_by_name", "soak_grid"]
+__all__ = [
+    "canonical_scenarios",
+    "catalog_by_name",
+    "overload_missions",
+    "soak_grid",
+]
 
 
 def canonical_scenarios() -> List[ScenarioSpec]:
@@ -211,8 +219,34 @@ def canonical_scenarios() -> List[ScenarioSpec]:
     ]
 
 
+def overload_missions() -> List[ScenarioSpec]:
+    """The four demand-plane attacks: the two golden surge missions and
+    two longer ones kept out of the golden corpus."""
+    golden = {s.name: s for s in canonical_scenarios()}
+    return [
+        golden["flash-crowd"],
+        ScenarioSpec(
+            name="sustained-10x",
+            description="60-frame 10x overload: demand-based pressure "
+            "keeps the low classes shed, without flapping, to the end",
+            frames=90,
+            surge=SurgeProfile(start=10, end=70, multiplier=10.0),
+        ),
+        golden["surge-rain-fade"],
+        ScenarioSpec(
+            name="surge-during-fdir-recovery",
+            description="5x surge over a servicing-stage fault: the "
+            "breaker trips, fails fast, probes half-open and closes",
+            frames=60,
+            surge=SurgeProfile(start=20, end=40, multiplier=5.0),
+            faults=(FaultEvent(frame=20, kind="service", duration=12),),
+        ),
+    ]
+
+
 def catalog_by_name() -> Dict[str, ScenarioSpec]:
-    return {s.name: s for s in canonical_scenarios()}
+    """Every golden and overload mission by name."""
+    return {s.name: s for s in canonical_scenarios() + overload_missions()}
 
 
 #: fault classes the soak sweep samples from (``None`` = clean run)

@@ -22,14 +22,19 @@ and the golden corpus freezes those hashes as the conformance oracle.
 :func:`result_violations` applies the cross-cutting invariants (no
 silent corruption, no flapping, monotonic degradation, recovery at the
 expected width, prompt fault detection, the FDIR actions the spec's
-faults and fades call for, exactly-once TC execution) to any result.
+faults and fades call for, exactly-once TC execution, finished DTN
+transfers and, under a surge, shed-before-collapse on the demand plane:
+conservation at every hop, bounded queues, sojourn inside the deadline
+budgets, no starved class, no flapping, a breaker that trips and closes
+again, a clean multiplier-1 control) to any result.
+:func:`goodput_violations` is the one two-run check.
 """
 
 from __future__ import annotations
 
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -58,12 +63,13 @@ from ..robustness.fdir.chaos import (
     build_traffic_world,
 )
 from ..robustness.overload.admission import AdmissionController
-from ..robustness.overload.brownout import BrownoutLadder
+from ..robustness.overload.brownout import BrownoutLadder, CircuitBreaker
 from ..robustness.overload.deadline import Deadline
 from ..robustness.overload.queues import CoDelQueue
 from ..sim import RngRegistry, Simulator, derive_seed
 from .spec import (
     CHANNEL_FAULT_KINDS,
+    DEMAND_FAULT_KINDS,
     FaultEvent,
     ReconfigAction,
     ScenarioSpec,
@@ -78,6 +84,8 @@ __all__ = [
     "ScenarioResult",
     "ScenarioRunner",
     "expected_actions",
+    "goodput_violations",
+    "nominal_counterpart",
     "result_violations",
     "run_scenario",
 ]
@@ -114,6 +122,11 @@ _ACTION_RULES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
 #: extra simulated seconds granted beyond the mission for campaign
 #: retries to drain before the no-hang invariant trips
 CAMPAIGN_GRACE_S = 900.0
+
+#: a surge mission's p0 goodput must hold this share of its same-seed
+#: nominal run's; a service fault fails p0 requests too, hence lower
+P0_GOODPUT_FLOOR = 0.9
+P0_GOODPUT_FLOOR_SERVICE_FAULT = 0.7
 
 #: resumable uploads must cost at most this many times the file size in
 #: bytes offered to the link (restart-from-zero pays >= 2x across one
@@ -161,6 +174,8 @@ class _DemandPlane:
     by an EWMA of offered load over capacity sheds/restores the low
     classes.  Serving capacity tracks the degraded-mode policy's live
     active-carrier count, coupling the demand plane to the link budget.
+    Service runs behind a circuit breaker, which a ``service`` fault
+    (every request served fails) trips; a closed breaker changes nothing.
     """
 
     #: per-class deadline budgets, in frames (tighter for lower priority)
@@ -185,6 +200,9 @@ class _DemandPlane:
         )
         self.shares = self.admission.shares
         self.classes = sorted(self.shares)
+        self.budget_s = {
+            c: self.CLASS_BUDGET_FRAMES[c] * fd for c in self.classes
+        }
         self.queues = {
             c: CoDelQueue(
                 clock,
@@ -196,9 +214,14 @@ class _DemandPlane:
             for c in self.classes
         }
         self.ladder = BrownoutLadder(clock, dwell=5.0 * fd)
+        self.breaker = CircuitBreaker(
+            clock, failure_threshold=3, cooldown=5.0 * fd, name="demand.service"
+        )
         self.arrivals = {c: 0 for c in self.classes}
         self.served = {c: 0 for c in self.classes}
         self.expired = {c: 0 for c in self.classes}
+        self.failed = {c: 0 for c in self.classes}
+        self.max_sojourn = {c: 0.0 for c in self.classes}
         self._ewma = 0.0
 
     def step(self, frame: int, n_active: int) -> None:
@@ -215,10 +238,9 @@ class _DemandPlane:
             n = int(self.rng.poisson(lam))
             self.arrivals[c] += n
             offered += n
-            budget_s = self.CLASS_BUDGET_FRAMES[c] * self.spec.frame_duration
             for _ in range(n):
                 if self.admission.admit(c):
-                    self.queues[c].offer(Deadline.after(now, budget_s))
+                    self.queues[c].offer(Deadline.after(now, self.budget_s[c]))
         pressure = offered / max(cap_frame, 1.0)
         self._ewma = 0.5 * pressure + 0.5 * self._ewma
         for action, c in self.ladder.update(self._ewma):
@@ -226,21 +248,39 @@ class _DemandPlane:
                 self.admission.shed(c)
             else:
                 self.admission.restore(c)
+        faulted = any(
+            ev.kind in DEMAND_FAULT_KINDS and ev.active_at(frame)
+            for ev in self.spec.faults
+        )
         budget = int(cap_frame)
+        breaker = self.breaker
         for c in self.classes:
             q = self.queues[c]
             while budget > 0 and len(q) > 0:
+                # an expired head is shed locally and never spends a
+                # breaker (half-open) probe
+                gated = q.head_sojourn() < self.budget_s[c]
+                if gated and not breaker.allow():
+                    return  # open: fail fast, leave the queues standing
                 got = q.poll_with_sojourn()
                 if got is None:  # CoDel shed the standing queue
                     break
-                deadline, _sojourn = got
+                deadline, sojourn = got
                 if deadline.expired(now):
                     # deadline budgets are enforced at every hop: work
                     # already past its budget is shed, not served
                     self.expired[c] += 1
                     continue
                 budget -= 1
-                self.served[c] += 1
+                if faulted:
+                    self.failed[c] += 1
+                    if gated:
+                        breaker.record_failure()
+                else:
+                    self.served[c] += 1
+                    self.max_sojourn[c] = max(self.max_sojourn[c], sojourn)
+                    if gated:
+                        breaker.record_success()
 
     def summary(self) -> Dict[str, object]:
         """Flat JSON-able overload accounting for the golden metrics."""
@@ -250,12 +290,15 @@ class _DemandPlane:
             "rejected": dict(self.admission.rejected),
             "served": dict(self.served),
             "expired": dict(self.expired),
+            "failed": dict(self.failed),
+            "max_sojourn": {c: round(t, 6) for c, t in self.max_sojourn.items()},
             "queues": {c: self.queues[c].stats() for c in self.classes},
             "ladder": self.ladder.stats(),
             "ladder_history": [
                 [round(t, 6), action, c]
                 for t, action, c in self.ladder.history
             ],
+            "breaker": self.breaker.stats(),
         }
 
 
@@ -699,9 +742,11 @@ def _detection_violations(result: ScenarioResult) -> List[str]:
     """The first alarm or arbiter action must follow the faults promptly."""
     spec = result.spec
     deadlines = []
-    if spec.faults:
-        onset = min(ev.frame for ev in spec.faults)
-        deadlines.append(("fault", onset, MAX_DETECTION_FRAMES))
+    onsets = [
+        ev.frame for ev in spec.faults if ev.kind not in DEMAND_FAULT_KINDS
+    ]
+    if onsets:
+        deadlines.append(("fault", min(onsets), MAX_DETECTION_FRAMES))
     if spec.fades and _fade_forces_shed(spec):
         onset = min(seg.start for seg in spec.fades)
         deadlines.append(("fade", onset, MAX_FADE_DETECTION_FRAMES))
@@ -712,6 +757,10 @@ def _detection_violations(result: ScenarioResult) -> List[str]:
         for what, onset, bound in deadlines
         if seen is None or seen - onset > bound
     ]
+
+
+def _has_service_fault(spec: ScenarioSpec) -> bool:
+    return any(ev.kind in DEMAND_FAULT_KINDS for ev in spec.faults)
 
 
 def _overload_violations(spec: ScenarioSpec, ov: Dict) -> List[str]:
@@ -728,20 +777,33 @@ def _overload_violations(spec: ScenarioSpec, ov: Dict) -> List[str]:
             v.append(f"overload {c}: accepted+dropped != offered")
         if q["served"] + q["shed"] + q["depth"] != q["accepted"]:
             v.append(f"overload {c}: served+shed+depth != accepted")
-        if ov["served"][c] + ov["expired"][c] != q["served"]:
-            v.append(f"overload {c}: served+expired != queue served")
+        if ov["served"][c] + ov["expired"][c] + ov["failed"][c] != q["served"]:
+            v.append(f"overload {c}: served+expired+failed != queue served")
         if q["max_depth"] > q["capacity"]:
             v.append(
                 f"overload {c}: queue depth {q['max_depth']} exceeded its "
                 f"bound {q['capacity']}"
             )
-    if ov["served"].get("p0", 0) == 0:
-        v.append("overload: p0 starved (zero served during the mission)")
-    if spec.surge.multiplier >= 2.0 and not sum(ov["rejected"].values()):
+        budget = _DemandPlane.CLASS_BUDGET_FRAMES[c] * spec.frame_duration
+        if ov["max_sojourn"][c] > budget:
+            v.append(
+                f"overload {c}: served sojourn {ov['max_sojourn'][c]} s over "
+                f"its deadline budget {budget} s"
+            )
+        if ov["served"][c] == 0:
+            v.append(f"overload: {c} starved (zero served during the mission)")
+    rejected = sum(ov["rejected"].values())
+    if spec.surge.multiplier >= 2.0 and not rejected:
         v.append(
             "overload: a real surge was absorbed without shedding anything "
             "-- admission control never engaged"
         )
+    if spec.surge.multiplier == 1.0:
+        offered = sum(ov["arrivals"].values())
+        if rejected > 0.01 * offered:
+            v.append(f"overload: nominal control rejected {rejected}/{offered}")
+        if ov["ladder_history"]:
+            v.append("overload: nominal control engaged the brownout ladder")
     if ov["ladder"]["level"] != 0:
         v.append(
             f"overload: brownout ladder still {ov['ladder']['level']} deep "
@@ -753,6 +815,14 @@ def _overload_violations(spec: ScenarioSpec, ov: Dict) -> List[str]:
     for c, actions in per_class.items():
         if actions not in (["shed"], ["shed", "restore"]):
             v.append(f"overload: class {c} ladder flapped: {actions}")
+    if _has_service_fault(spec):
+        b = ov["breaker"]
+        if not 1 <= b["trips"] <= 3:
+            v.append(f"overload: breaker tripped {b['trips']} times, not 1..3")
+        if not b["fast_rejects"]:
+            v.append("overload: open breaker never failed a request fast")
+        if b["state"] != CircuitBreaker.CLOSED:
+            v.append(f"overload: breaker ended {b['state']}, not closed")
     return v
 
 
@@ -853,3 +923,31 @@ def result_violations(result: ScenarioResult) -> List[str]:
                 "reconfigurations completed"
             )
     return v
+
+
+def nominal_counterpart(spec: ScenarioSpec) -> ScenarioSpec:
+    """``spec`` at surge multiplier 1.0 with no faults or fades (same
+    name and seed, hence the same demand-arrival stream)."""
+    return replace(
+        spec,
+        surge=replace(spec.surge, multiplier=1.0),
+        faults=(),
+        fades=(),
+    )
+
+
+def goodput_violations(
+    result: ScenarioResult, nominal: ScenarioResult
+) -> List[str]:
+    """The two-run check: a surge mission's p0 goodput must hold a
+    floor share of ``nominal``'s, the run of its nominal counterpart."""
+    floor = (
+        P0_GOODPUT_FLOOR_SERVICE_FAULT
+        if _has_service_fault(result.spec)
+        else P0_GOODPUT_FLOOR
+    )
+    got = result.metrics["overload"]["served"]["p0"]
+    base = nominal.metrics["overload"]["served"]["p0"]
+    if got >= floor * base:
+        return []
+    return [f"overload: p0 goodput {got} below {floor} x nominal {base}"]

@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "CHANNEL_FAULT_KINDS",
+    "DEMAND_FAULT_KINDS",
     "EQUIPMENT_FAULT_KINDS",
-    "EXECUTOR_BACKENDS",
     "FADE_SHAPES",
     "ContactSchedule",
     "FaultEvent",
@@ -51,6 +51,9 @@ class ScenarioError(ValueError):
 CHANNEL_FAULT_KINDS = ("blank", "interference", "cfo")
 #: equipment faults: applied to the hardware once, at ``frame``
 EQUIPMENT_FAULT_KINDS = ("seu.decoder", "latchup.demod")
+#: demand-plane faults: the servicing stage fails every request it
+#: serves for ``duration`` frames (needs a surge to have requests)
+DEMAND_FAULT_KINDS = ("service",)
 #: supported fade profile shapes
 FADE_SHAPES = ("step", "ramp")
 
@@ -181,7 +184,9 @@ class FaultEvent:
     Equipment faults (:data:`EQUIPMENT_FAULT_KINDS`) strike the hardware
     once at ``frame``: ``seu.decoder`` upsets ``magnitude`` configuration
     bits of the shared decoder fabric, ``latchup.demod`` permanently
-    kills carrier ``carrier``'s active demodulator unit.
+    kills carrier ``carrier``'s active demodulator unit.  A ``service``
+    fault (:data:`DEMAND_FAULT_KINDS`) fails every request the surge's
+    servicing stage serves for ``duration`` frames.
     """
 
     frame: int
@@ -193,7 +198,9 @@ class FaultEvent:
     def problems(self, frames: int, num_carriers: int, idx: int) -> List[str]:
         out = []
         tag = f"faults[{idx}]"
-        known = CHANNEL_FAULT_KINDS + EQUIPMENT_FAULT_KINDS
+        known = (
+            CHANNEL_FAULT_KINDS + EQUIPMENT_FAULT_KINDS + DEMAND_FAULT_KINDS
+        )
         if self.kind not in known:
             out.append(f"{tag}.kind {self.kind!r} not in {known}")
         if not 0 <= self.frame < frames:
@@ -211,7 +218,7 @@ class FaultEvent:
         return out
 
     def active_at(self, frame: int) -> bool:
-        """Is this (channel) fault afflicting ``frame``?"""
+        """Is this (channel or service) fault afflicting ``frame``?"""
         return self.frame <= frame < self.frame + self.duration
 
 
@@ -408,6 +415,8 @@ class ScenarioSpec:
         out.extend(self.ground.problems())
         if self.surge is not None:
             out.extend(self.surge.problems(self.frames))
+        elif any(ev.kind in DEMAND_FAULT_KINDS for ev in self.faults):
+            out.append("a service fault needs a surge (no demand plane)")
         if self.contacts is not None:
             out.extend(self.contacts.problems())
         return out

@@ -1,16 +1,23 @@
-"""Acceptance: the overload chaos campaign sheds before it collapses.
+"""Acceptance: the overload missions shed before they collapse.
 
-ISSUE 7's gate: zero invariant violations over 5 seeds x the four surge
-scenarios (flash crowd, sustained 10x, surge-during-rain-fade,
-surge-during-FDIR-recovery), each judged against a same-seed nominal
-baseline run.
+Each demand-plane attack of :func:`overload_missions` (flash crowd,
+sustained 10x, surge during a rain fade, surge during a servicing-stage
+fault) runs through :func:`run_scenario` at seeds 1-5 next to its
+same-seed nominal counterpart, and both runs are judged by
+:func:`result_violations` plus the two-run p0 goodput check.
 """
+
+import dataclasses
 
 import pytest
 
-from repro.robustness.overload.chaos import (
-    OverloadChaosCampaign,
-    default_overload_scenarios,
+from repro.scenarios import (
+    catalog_by_name,
+    goodput_violations,
+    nominal_counterpart,
+    overload_missions,
+    result_violations,
+    run_scenario,
 )
 
 pytestmark = pytest.mark.overload
@@ -18,72 +25,94 @@ pytestmark = pytest.mark.overload
 SEEDS = [1, 2, 3, 4, 5]
 
 
+def reseeded(spec, seed):
+    return dataclasses.replace(spec, seed=seed)
+
+
 @pytest.fixture(scope="module")
-def campaign():
-    c = OverloadChaosCampaign(seeds=SEEDS)
-    c.run()
-    return c
+def sweep():
+    """(surge result, nominal result) per mission x seed."""
+    pairs = []
+    for spec in overload_missions():
+        for seed in SEEDS:
+            surge = reseeded(spec, seed)
+            pairs.append(
+                (run_scenario(surge), run_scenario(nominal_counterpart(surge)))
+            )
+    return pairs
 
 
+def has_service_fault(spec):
+    return any(ev.kind == "service" for ev in spec.faults)
+
+
+@pytest.mark.slow
+@pytest.mark.chaos
 class TestCampaignAcceptance:
-    def test_covers_all_scenarios_and_seeds(self, campaign):
-        # one nominal + one surge outcome per (scenario, seed)
-        assert len(campaign.outcomes) == 2 * len(SEEDS) * len(
-            default_overload_scenarios()
-        )
+    def test_covers_all_scenarios_and_seeds(self, sweep):
+        # one surge + one nominal run per (mission, seed)
+        assert len(sweep) == len(SEEDS) * len(overload_missions())
+        assert {(r.name, r.spec.seed) for r, _ in sweep} == {
+            (spec.name, seed) for spec in overload_missions() for seed in SEEDS
+        }
+        for result, nominal in sweep:
+            assert nominal.spec.surge.multiplier == 1.0
+            assert not nominal.spec.faults and not nominal.spec.fades
 
-    def test_zero_violations(self, campaign):
-        assert campaign.all_violations() == []
+    def test_zero_violations(self, sweep):
+        bad = []
+        for result, nominal in sweep:
+            tag = f"{result.name}/{result.spec.seed}"
+            msgs = result_violations(result)
+            msgs += goodput_violations(result, nominal)
+            bad += [f"{tag}: {m}" for m in msgs]
+            bad += [f"{tag} nominal: {m}" for m in result_violations(nominal)]
+        assert bad == [], "\n".join(bad)
 
-    def test_surge_actually_sheds(self, campaign):
-        """The campaign attacks for real: every surge run rejected load
+    def test_surge_actually_sheds(self, sweep):
+        """The missions attack for real: every surge run rejected load
         and engaged the brownout ladder."""
-        for o in campaign.outcomes:
-            if o.nominal_run:
-                continue
-            assert sum(o.rejected.values()) > 0, o.scenario.name
-            assert o.ladder_stats["shed_events"] >= 1, o.scenario.name
+        for result, _ in sweep:
+            ov = result.metrics["overload"]
+            assert sum(ov["rejected"].values()) > 0, result.name
+            assert ov["ladder"]["shed_events"] >= 1, result.name
 
-    def test_breaker_scenario_trips_and_recovers(self, campaign):
-        runs = [
-            o
-            for o in campaign.outcomes
-            if o.scenario.expect_breaker and not o.nominal_run
-        ]
+    def test_breaker_scenario_trips_and_recovers(self, sweep):
+        runs = [r for r, _ in sweep if has_service_fault(r.spec)]
         assert runs
-        for o in runs:
-            assert 1 <= o.breaker_stats["trips"] <= 3
-            assert o.breaker_stats["state"] == "closed"
-            assert o.breaker_stats["fast_rejects"] >= 1
+        for r in runs:
+            breaker = r.metrics["overload"]["breaker"]
+            assert 1 <= breaker["trips"] <= 3
+            assert breaker["state"] == "closed"
+            assert breaker["fast_rejects"] >= 1
 
-    def test_fade_scenario_sheds_and_restores_carriers(self, campaign):
-        runs = [
-            o
-            for o in campaign.outcomes
-            if o.scenario.expect_fade_shed and not o.nominal_run
-        ]
+    def test_fade_scenario_sheds_and_restores_carriers(self, sweep):
+        runs = [r for r, _ in sweep if r.spec.fades]
         assert runs
-        for o in runs:
-            assert any(kind == "shed" for kind, _, _ in o.policy_events)
-            assert any(kind == "restore" for kind, _, _ in o.policy_events)
-            assert o.final_active_carriers == 3
+        for r in runs:
+            assert r.metrics["policy_events"].get("shed")
+            assert r.metrics["policy_events"].get("restore")
+            assert r.metrics["final_active"] == 3
 
 
 class TestDeterminism:
     def test_same_seed_same_outcome(self):
-        sc = default_overload_scenarios()[0]
-        c = OverloadChaosCampaign(seeds=[7])
-        a = c.run_one(sc, 7)
-        b = c.run_one(sc, 7)
-        assert a.arrivals == b.arrivals
-        assert a.served_ok == b.served_ok
-        assert a.rejected == b.rejected
-        assert a.ladder_history == b.ladder_history
-        assert a.queue_stats == b.queue_stats
+        spec = reseeded(catalog_by_name()["flash-crowd"], 7)
+        a = run_scenario(spec)
+        b = run_scenario(spec)
+        assert a.trace_hash == b.trace_hash
+        oa, ob = a.metrics["overload"], b.metrics["overload"]
+        assert oa["arrivals"] == ob["arrivals"]
+        assert oa["served"] == ob["served"]
+        assert oa["rejected"] == ob["rejected"]
+        assert oa["ladder_history"] == ob["ladder_history"]
+        assert oa["queues"] == ob["queues"]
 
     def test_different_seeds_differ(self):
-        sc = default_overload_scenarios()[0]
-        c = OverloadChaosCampaign(seeds=[7, 8])
-        a = c.run_one(sc, 7)
-        b = c.run_one(sc, 8)
-        assert a.arrivals != b.arrivals
+        spec = catalog_by_name()["flash-crowd"]
+        a = run_scenario(reseeded(spec, 7))
+        b = run_scenario(reseeded(spec, 8))
+        assert a.metrics["overload"]["arrivals"] != b.metrics["overload"][
+            "arrivals"
+        ]
+        assert a.trace_hash != b.trace_hash

@@ -2,6 +2,7 @@
 exactly-once TC accounting, and the no-unseeded-RNG and no-wall-clock
 source audits."""
 
+import copy
 import dataclasses
 import re
 from pathlib import Path
@@ -13,7 +14,10 @@ from repro.scenarios import (
     FaultEvent,
     ScenarioError,
     ScenarioSpec,
+    SurgeProfile,
     expected_actions,
+    goodput_violations,
+    nominal_counterpart,
     result_violations,
     run_scenario,
 )
@@ -24,7 +28,7 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def _tiny(name="tiny-runner", **kw):
-    return ScenarioSpec(name=name, frames=6, recovery_tail=2, **kw)
+    return ScenarioSpec(**{"name": name, "frames": 6, "recovery_tail": 2, **kw})
 
 
 def test_same_seed_same_trace_hash_regression():
@@ -95,6 +99,189 @@ def test_violation_messages_name_the_broken_invariant():
     assert any("late detection" in v for v in result_violations(rigged))
     rigged = dataclasses.replace(rigged, first_detection=8)
     assert any("late detection" in v for v in result_violations(rigged))
+
+
+@pytest.fixture(scope="module")
+def surge_pair():
+    """A short clean surge mission and its nominal counterpart."""
+    spec = _tiny(
+        "tiny-surge",
+        frames=16,
+        surge=SurgeProfile(start=2, end=6, multiplier=5.0),
+    )
+    return run_scenario(spec), run_scenario(nominal_counterpart(spec))
+
+
+def _rig(path, change):
+    """Rig: replace the ``metrics["overload"]`` value at a key path."""
+
+    def rig(ov):
+        *head, last = path
+        for key in head:
+            ov = ov[key]
+        ov[last] = change(ov[last])
+
+    return rig
+
+
+def _set(path, value):
+    return _rig(path, lambda _old: value)
+
+
+def _bump(path):
+    return _rig(path, lambda n: n + 1)
+
+
+def _serviced(ov):
+    """Rig: a clean breaker record for a mission with a service fault."""
+    ov["breaker"].update(state="closed", trips=2, fast_rejects=4)
+
+
+def _then(*rigs):
+    def rig(ov):
+        for r in rigs:
+            r(ov)
+
+    return rig
+
+
+_SERVICE_FAULT = {"faults": (FaultEvent(frame=3, kind="service", duration=2),)}
+_NOMINAL = {"surge": SurgeProfile(start=2, end=6, multiplier=1.0)}
+_HISTORY = [[1.0, "shed", "p2"], [2.0, "restore", "p2"], [3.0, "shed", "p2"]]
+
+#: (spec changes, rig on the overload summary, words naming the invariant)
+_OVERLOAD_RIGS = {
+    "conservation-admission": (
+        {}, _bump(("rejected", "p1")), "p1: admitted+rejected != arrivals"
+    ),
+    "conservation-queue-offered": (
+        {}, _bump(("queues", "p1", "offered")), "queue offered != admitted"
+    ),
+    "conservation-queue-dropped": (
+        {}, _bump(("queues", "p1", "dropped")), "accepted+dropped != offered"
+    ),
+    "conservation-queue-shed": (
+        {}, _bump(("queues", "p1", "shed")), "served+shed+depth != accepted"
+    ),
+    "conservation-failed": (
+        {}, _bump(("failed", "p0")), "served+expired+failed != queue served"
+    ),
+    "depth-bound": (
+        {}, _set(("queues", "p1", "max_depth"), 65), "exceeded its bound"
+    ),
+    "starved-p0": ({}, _set(("served", "p0"), 0), "p0 starved"),
+    "starved-p1": ({}, _set(("served", "p1"), 0), "p1 starved"),
+    "starved-p2": ({}, _set(("served", "p2"), 0), "p2 starved"),
+    "surge-absorbed": (
+        {},
+        _set(("rejected",), {"p0": 0, "p1": 0, "p2": 0}),
+        "absorbed without shedding",
+    ),
+    "ladder-left-deep": (
+        {}, _set(("ladder", "level"), 1), "ladder still 1 deep"
+    ),
+    "flapping": ({}, _set(("ladder_history",), _HISTORY), "p2 ladder flapped"),
+    "sojourn-over-budget": (
+        {},
+        _set(("max_sojourn", "p2"), 2.5),
+        "p2: served sojourn 2.5 s over its deadline budget 2.0 s",
+    ),
+    "breaker-not-closed": (
+        _SERVICE_FAULT,
+        _then(_serviced, _set(("breaker", "state"), "open")),
+        "breaker ended open, not closed",
+    ),
+    "breaker-never-tripped": (
+        _SERVICE_FAULT,
+        _then(_serviced, _set(("breaker", "trips"), 0)),
+        "breaker tripped 0 times, not 1..3",
+    ),
+    "breaker-flapping": (
+        _SERVICE_FAULT,
+        _then(_serviced, _set(("breaker", "trips"), 4)),
+        "breaker tripped 4 times, not 1..3",
+    ),
+    "breaker-never-failed-fast": (
+        _SERVICE_FAULT,
+        _then(_serviced, _set(("breaker", "fast_rejects"), 0)),
+        "never failed a request fast",
+    ),
+    "nominal-over-rejection": (
+        _NOMINAL,
+        _set(("rejected", "p2"), 5),
+        "nominal control rejected",
+    ),
+    "nominal-ladder": (
+        _NOMINAL,
+        _set(("ladder_history",), [[1.0, "shed", "p2"]]),
+        "nominal control engaged the brownout ladder",
+    ),
+}
+
+
+def _rigged(result, spec_changes, rig):
+    ov = copy.deepcopy(result.metrics["overload"])
+    rig(ov)
+    return dataclasses.replace(
+        result,
+        spec=dataclasses.replace(result.spec, **spec_changes),
+        metrics={**result.metrics, "overload": ov},
+    )
+
+
+def test_surge_pair_is_clean(surge_pair):
+    result, nominal = surge_pair
+    assert result_violations(result) == []
+    assert result_violations(nominal) == []
+    assert goodput_violations(result, nominal) == []
+    # a clean service-fault record and a clean nominal record pass too
+    assert result_violations(_rigged(result, _SERVICE_FAULT, _serviced)) == []
+    assert result_violations(_rigged(nominal, _NOMINAL, lambda ov: None)) == []
+
+
+@pytest.mark.parametrize("case", list(_OVERLOAD_RIGS))
+def test_overload_violations_name_the_broken_invariant(surge_pair, case):
+    result, _ = surge_pair
+    spec_changes, rig, words = _OVERLOAD_RIGS[case]
+    violations = result_violations(_rigged(result, spec_changes, rig))
+    assert any(words in v for v in violations), violations
+
+
+def test_p0_goodput_floor_is_a_two_run_check(surge_pair):
+    result, nominal = surge_pair
+    p0 = result.metrics["overload"]["served"]["p0"]
+    # just above the floor passes, just below fails
+    for base, ok in ((int(p0 / 0.9), True), (int(p0 / 0.9) + 2, False)):
+        rigged = _rigged(nominal, {}, _set(("served", "p0"), base))
+        got = goodput_violations(result, rigged)
+        assert (got == []) is ok, got
+    # a service fault lowers the floor to 0.7
+    rigged = _rigged(nominal, {}, _set(("served", "p0"), int(p0 / 0.8)))
+    assert goodput_violations(result, rigged)
+    faulted = _rigged(result, _SERVICE_FAULT, lambda ov: None)
+    assert goodput_violations(faulted, rigged) == []
+    assert "p0 goodput" in goodput_violations(result, rigged)[0]
+
+
+def test_service_fault_trips_the_breaker_on_the_demand_plane_only():
+    """A service fault needs a surge; it fails requests and trips the
+    breaker, but feeds neither severity, the FDIR action rules nor the
+    detection bound."""
+    fault = FaultEvent(frame=3, kind="service", duration=2)
+    with pytest.raises(ScenarioError, match="needs a surge"):
+        _tiny(faults=(fault,)).validate()
+    spec = _tiny(
+        frames=16,
+        faults=(fault,),
+        surge=SurgeProfile(start=2, end=6, multiplier=5.0),
+    )
+    assert all(spec.severity(f) == 0.0 for f in range(spec.frames))
+    assert expected_actions(spec) == expected_actions(_tiny())
+    result = run_scenario(spec)
+    assert result_violations(result) == []
+    ov = result.metrics["overload"]
+    assert sum(ov["failed"].values()) > 0
+    assert ov["breaker"]["trips"] >= 1 and ov["breaker"]["fast_rejects"] >= 1
 
 
 def test_action_expectations_follow_faults_and_link_budget():
