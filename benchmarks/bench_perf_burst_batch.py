@@ -9,7 +9,10 @@ path at several batch sizes, asserts the headline >= 5x speedup at
 batch=16 on the UMTS rate-1/3 K=9 code, and checks bit-identity between
 the two paths on every measured input.  It also gates the fused
 forward-backward turbo SISO at >= 2x over the two-loop reference
-recursion of ``tests/coding/test_turbo_siso_equivalence.py``.
+recursion of ``tests/coding/test_turbo_siso_equivalence.py``, and the
+Tx chain's ``TransportChain.encode_batch`` at >= 2x over the per-row,
+per-bit reference encoders of ``tests/coding/test_batch_equivalence.py``
+at 8 carriers.
 
 Run modes
 ---------
@@ -31,7 +34,7 @@ import numpy as np
 import pytest
 
 from repro.caching import design_cache_stats
-from repro.coding import TurboCode, UMTS_RATE_13
+from repro.coding import CodingScheme, TransportChain, TurboCode, UMTS_RATE_13
 from repro.coding.turbo import _Siso
 from repro.core.payload import PayloadConfig, RegenerativePayload
 from repro.core.registry import default_registry
@@ -39,6 +42,7 @@ from repro.obs.probes import probe
 from repro.sim import RngRegistry
 
 from conftest import print_table
+from tests.coding.test_batch_equivalence import ref_chain_encode
 from tests.coding.test_turbo_siso_equivalence import (
     ref_decode_batch,
     ref_siso_batch,
@@ -206,6 +210,51 @@ def test_turbo_siso_fused_speedup(rng):
              "speedup", "decode two-loop [ms]", "decode fused [ms]"],
             rows,
         )
+
+
+def test_chain_encode_batch_throughput(rng):
+    """encode_batch >= 2x blocks/sec over the per-row reference at 8.
+
+    The mission's chains: a 40-bit transport block plus CRC-16 through
+    the rate-1/3 conv code and the turbo code, 192 physical bits.
+    """
+    batches = (2,) if SMOKE else (3, 8, 16)
+    reps = 1 if SMOKE else 20
+    rows, ratios = [], {}
+    for scheme in (CodingScheme.CONVOLUTIONAL, CodingScheme.TURBO):
+        chain = TransportChain(scheme, transport_block=40, physical_bits=192)
+        for nb in batches:
+            msgs = rng.integers(0, 2, (nb, 40)).astype(np.uint8)
+            batched = chain.encode_batch(msgs)
+            for msg, row in zip(msgs, batched):
+                assert np.array_equal(row, ref_chain_encode(chain, msg))
+                assert np.array_equal(row, chain.encode(msg))
+            if SMOKE:
+                continue
+            t_ref, t_rows, t_batch = _best_per_call(
+                [
+                    lambda: [ref_chain_encode(chain, m) for m in msgs],
+                    lambda: [chain.encode(m) for m in msgs],
+                    lambda: chain.encode_batch(msgs),
+                ],
+                reps,
+            )
+            ratios[scheme, nb] = t_ref / t_batch
+            rows.append([
+                scheme.value, nb, f"{t_ref * 1e3:.3f}", f"{t_rows * 1e3:.3f}",
+                f"{t_batch * 1e3:.3f}", f"{ratios[scheme, nb]:.1f}x",
+            ])
+            _gauge(f"encode_{scheme.value}_blocks_per_sec_batched", nb, nb / t_batch)
+    if rows:
+        print_table(
+            "transport-chain encode (40-bit blocks, 192 physical bits) per frame",
+            ["scheme", "blocks", "per-row reference [ms]", "per-row encode [ms]",
+             "encode_batch [ms]", "speedup"],
+            rows,
+        )
+    for (scheme, nb), ratio in ratios.items():
+        if nb == 8:
+            assert ratio >= 2.0, f"{scheme.value} encode_batch {ratio:.1f}x below 2x at 8"
 
 
 def test_payload_uplink_batched_decode(rng):

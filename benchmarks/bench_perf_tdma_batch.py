@@ -10,11 +10,13 @@ synthesis filter bank.  This benchmark times, at 3, 8 and 16 carriers:
 - ``receive_batch`` against a per-row ``receive`` loop (Oerder&Meyr,
   the mission personality; the Gardner lock-step is reported too);
 - the polyphase multiplexer against the per-carrier mixer it replaced
-  (one full-rate interpolation filter + one complex mixer per carrier).
+  (one full-rate interpolation filter + one complex mixer per carrier);
+- ``transmit_batch`` (one axis-wise SRRC ``fftconvolve`` for the stack)
+  against a per-row ``transmit`` loop.
 
 It checks bit-exact batched == per-row equivalence (and the mixer
 agreement) on every measured input, and asserts **>= 2x at 8 carriers**
-for both the demodulator and the multiplexer.
+for the demodulator, the multiplexer and the burst synthesis.
 
 Run modes
 ---------
@@ -165,6 +167,31 @@ def test_multiplexer_throughput(rng):
     )
     if not SMOKE:
         assert ratios[8] >= 2.0, f"polyphase multiplexer {ratios[8]:.2f}x below 2x at 8 carriers"
+
+
+def test_transmit_batch_throughput(rng):
+    """transmit_batch >= 2x carriers/sec over the per-row loop at 8."""
+    modem = TdmaModem(BURST)
+    rows, ratios = [], {}
+    for nc in CARRIERS:
+        bits = rng.integers(0, 2, (nc, modem.bits_per_burst)).astype(np.uint8)
+        batched = modem.transmit_batch(bits)
+        # bitwise equivalence enforced before anything is timed
+        for row, got in zip(bits, batched):
+            assert np.array_equal(got.view(np.float64), modem.transmit(row).view(np.float64))
+        t_rows = _time_per_call(lambda: [modem.transmit(row) for row in bits], REPS)
+        t_batch = _time_per_call(lambda: modem.transmit_batch(bits), REPS)
+        ratios[nc] = t_rows / t_batch
+        rows.append([nc, f"{t_rows * 1e3:.3f}", f"{t_batch * 1e3:.3f}", f"{ratios[nc]:.2f}x"])
+        _gauge("tx_carriers_per_sec_rows", nc, nc / t_rows)
+        _gauge("tx_carriers_per_sec_batched", nc, nc / t_batch)
+    print_table(
+        f"TDMA burst synthesis (QPSK, {BURST.total}-symbol bursts) per frame",
+        ["carriers", "per-row transmit [ms]", "transmit_batch [ms]", "speedup"],
+        rows,
+    )
+    if not SMOKE:
+        assert ratios[8] >= 2.0, f"batched burst synthesis {ratios[8]:.2f}x below 2x at 8 carriers"
 
 
 def test_design_cache_gauges():

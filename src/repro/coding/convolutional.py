@@ -27,6 +27,7 @@ the batch axis).
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..caching import cached_design, freeze
 from ..obs.probes import probe
@@ -98,6 +99,19 @@ def _trellis_tables(generators: tuple[int, ...], constraint_length: int):
     )
 
 
+@cached_design("coding.conv_taps", maxsize=32)
+def _tap_matrix(generators: tuple[int, ...], constraint_length: int) -> np.ndarray:
+    """``(K, n_out)`` GF(2) encoder matrix over an oldest-first window.
+
+    Window position ``i`` holds the input ``K - 1 - i`` steps back,
+    i.e. shift-register bit ``i``, so ``G[i, j]`` is bit ``i`` of
+    generator ``j``.  Float64, so the product is a BLAS matmul whose
+    sums (at most ``K``, so they also fit a uint8) are exact.
+    """
+    taps = np.arange(constraint_length)[:, None]
+    return freeze(((np.asarray(generators)[None, :] >> taps) & 1).astype(np.float64))
+
+
 class ConvolutionalCode:
     """Feedforward convolutional code with terminated Viterbi decoding.
 
@@ -138,17 +152,30 @@ class ConvolutionalCode:
         return 1.0 / self.n_out
 
     # -- encoding --------------------------------------------------------
+    def encode_batch(self, bits: np.ndarray) -> np.ndarray:
+        """Encode and terminate every row of a ``(B, n)`` stack.
+
+        The output word of step ``t`` depends only on the ``K``-bit
+        window of the zero-started, zero-tailed stream ending at input
+        ``t``, so the whole batch is one GF(2) product ``(window @ G) &
+        1`` over every window.  Returns ``(B, encoded_length(n))``
+        uint8.
+        """
+        bits = np.asarray(bits)
+        if bits.ndim != 2:
+            raise ValueError(f"expected a (batch, n) array, got shape {bits.shape}")
+        nb, n = bits.shape
+        mem = self.k - 1
+        stream = np.zeros((nb, n + 2 * mem))
+        stream[:, mem : mem + n] = bits
+        windows = sliding_window_view(stream, self.k, axis=1).reshape(-1, self.k)
+        words = (windows @ _tap_matrix(self.generators, self.k)).astype(np.uint8)
+        return (words & 1).reshape(nb, self.encoded_length(n))
+
     def encode(self, bits: np.ndarray) -> np.ndarray:
         """Encode and terminate: output length = (len(bits)+K-1) * n_out."""
         bits = np.asarray(bits).astype(np.uint8).ravel()
-        tail = np.zeros(self.k - 1, dtype=np.uint8)
-        stream = np.concatenate([bits, tail])
-        out = np.empty(len(stream) * self.n_out, dtype=np.uint8)
-        state = 0
-        for i, b in enumerate(stream):
-            out[i * self.n_out : (i + 1) * self.n_out] = self.outputs[state, b]
-            state = self.next_state[state, b]
-        return out
+        return self.encode_batch(bits[None])[0]
 
     def encoded_length(self, num_bits: int) -> int:
         """Length of :meth:`encode` output for ``num_bits`` message bits."""

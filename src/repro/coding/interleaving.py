@@ -129,10 +129,14 @@ def _rm_pattern(n_in: int, n_out: int) -> tuple[np.ndarray, bool]:
 
 
 def rate_match(bits: np.ndarray, n_out: int) -> np.ndarray:
-    """Puncture or repeat ``bits`` to exactly ``n_out`` positions."""
+    """Puncture or repeat ``bits`` to exactly ``n_out`` positions.
+
+    Works along the last axis, so a ``(batch, n_in)`` stack returns a
+    ``(batch, n_out)`` array with every row matched alike.
+    """
     bits = np.asarray(bits)
-    idx, _ = _rm_pattern(len(bits), n_out)
-    return bits[idx]
+    idx, _ = _rm_pattern(bits.shape[-1], n_out)
+    return bits[..., idx]
 
 
 def rate_dematch(values: np.ndarray, n_in: int) -> np.ndarray:

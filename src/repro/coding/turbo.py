@@ -222,6 +222,49 @@ for _s in range(_NSTATES):
     for _b in (0, 1):
         _NEXT[_s, _b], _PAR[_s, _b] = _rsc_step(_s, _b)
 
+#: termination tail ``x z x z x z`` of each final state, indexed by its
+#: register bits ``[s1, s2, s3]``
+_TAIL = np.empty((_NSTATES, 6), dtype=np.uint8)
+for _s in range(_NSTATES):
+    _state = _s
+    for _i in range(3):
+        _TAIL[_s, 2 * _i] = _tb = _tail_bit(_state)
+        _state, _TAIL[_s, 2 * _i + 1] = _rsc_step(_state, _tb)
+    assert _state == 0, "termination failed"
+_TAIL = freeze(_TAIL.reshape(2, 2, 2, 6))
+
+#: period of the feedback response: 1 + D^2 + D^3 is primitive of degree 3
+_FB_PERIOD = 7
+
+
+def _encode_rsc_batch(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Encode one constituent for every row of a ``(B, K)`` stack.
+
+    Returns the ``(B, K)`` parity and the ``(B, 6)`` termination tail.
+    The feedback bit ``f_t = u_t ^ f_(t-2) ^ f_(t-3)`` is ``u`` filtered
+    by ``1 / (1 + D^2 + D^3)``, whose impulse response repeats with
+    period 7 as ``1 0 1 1 1 0 0``.  So with ``d_t`` the XOR of ``u_t,
+    u_(t-7), u_(t-14), ...`` (one cumulative XOR down the columns of
+    the ``(B, K/7, 7)`` reshape), ``f_t = d_t ^ d_(t-2) ^ d_(t-3) ^
+    d_(t-4)``, and the parity is ``f_t ^ f_(t-1) ^ f_(t-3)``.  The last
+    three feedback bits are the final state, which picks the tail.
+    """
+    nb, k = bits.shape
+    padded = -(-k // _FB_PERIOD) * _FB_PERIOD
+    cols = np.zeros((nb, padded), dtype=np.uint8)
+    cols[:, :k] = bits
+    acc = np.bitwise_xor.accumulate(
+        cols.reshape(nb, padded // _FB_PERIOD, _FB_PERIOD), axis=1
+    )
+    # leading zeros stand for the all-zero start state
+    d = np.zeros((nb, 4 + k), dtype=np.uint8)  # d[:, 4 + t] = d_t
+    d[:, 4:] = acc.reshape(nb, padded)[:, :k]
+    fb = np.zeros((nb, 3 + k), dtype=np.uint8)  # fb[:, 3 + t] = f_t
+    fb[:, 3:] = d[:, 4:] ^ d[:, 2:-2] ^ d[:, 1:-3] ^ d[:, :-4]
+    parity = fb[:, 3:] ^ fb[:, 2:-1] ^ fb[:, :-3]
+    return parity, _TAIL[fb[:, -1], fb[:, -2], fb[:, -3]]
+
+
 # Fused forward-backward tables.  The SISO state is 16 rows,
 # ``[alpha_t | beta_(T-t)]``, and both halves take their two candidates
 # from the same ``(bit, row)`` layout: candidate ``b`` of alpha row
@@ -348,41 +391,21 @@ class TurboCode:
         return self.k / self.encoded_length
 
     # -- encoding --------------------------------------------------------
-    def _encode_rsc(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Encode one constituent; returns (parity, tail_sys, tail_par)."""
-        state = 0
-        par = np.empty(len(bits), dtype=np.uint8)
-        for i, b in enumerate(bits):
-            state, p = _rsc_step(state, int(b))
-            par[i] = p
-        tail_sys = np.empty(3, dtype=np.uint8)
-        tail_par = np.empty(3, dtype=np.uint8)
-        for i in range(3):
-            tb = _tail_bit(state)
-            tail_sys[i] = tb
-            state, p = _rsc_step(state, tb)
-            tail_par[i] = p
-        assert state == 0, "termination failed"
-        return par, tail_sys, tail_par
+    def encode_batch(self, bits: np.ndarray) -> np.ndarray:
+        """Encode every row of a ``(B, K)`` stack into ``(B, 3K + 12)`` bits."""
+        bits = np.asarray(bits).astype(np.uint8)
+        if bits.ndim != 2 or bits.shape[1] != self.k:
+            raise ValueError(f"expected a (batch, {self.k}) array, got shape {bits.shape}")
+        nb, k = bits.shape
+        z1, t1 = _encode_rsc_batch(bits)
+        z2, t2 = _encode_rsc_batch(bits[:, self.interleaver])
+        body = np.stack([bits, z1, z2], axis=2).reshape(nb, 3 * k)
+        return np.concatenate([body, t1, t2], axis=1)
 
     def encode(self, bits: np.ndarray) -> np.ndarray:
         """Encode ``block_length`` bits into ``3K + 12`` code bits."""
         bits = np.asarray(bits).astype(np.uint8).ravel()
-        if len(bits) != self.k:
-            raise ValueError(f"expected {self.k} bits, got {len(bits)}")
-        z1, t1s, t1p = self._encode_rsc(bits)
-        interleaved = bits[self.interleaver]
-        z2, t2s, t2p = self._encode_rsc(interleaved)
-        body = np.empty(3 * self.k, dtype=np.uint8)
-        body[0::3] = bits
-        body[1::3] = z1
-        body[2::3] = z2
-        tail = np.empty(12, dtype=np.uint8)
-        tail[0::2][:3] = t1s
-        tail[1::2][:3] = t1p
-        tail[6::2] = t2s
-        tail[7::2] = t2p
-        return np.concatenate([body, tail])
+        return self.encode_batch(bits[None])[0]
 
     # -- decoding ----------------------------------------------------------
     def decode(self, llr: np.ndarray, return_iterations: bool = False):

@@ -122,22 +122,35 @@ class TransportChain:
         return self.transport_block / self.physical_bits
 
     # -- transmit -------------------------------------------------------
-    def encode(self, bits: np.ndarray) -> np.ndarray:
-        """CRC-attach, encode, rate-match and interleave one block."""
-        bits = np.asarray(bits).astype(np.uint8).ravel()
-        if len(bits) != self.transport_block:
+    def encode_batch(self, bits: np.ndarray) -> np.ndarray:
+        """CRC-attach, encode, rate-match and interleave a block stack.
+
+        ``bits`` is ``(batch, transport_block)``; every stage is one
+        batch kernel (:meth:`Crc.attach_batch`,
+        :meth:`ConvolutionalCode.encode_batch` /
+        :meth:`TurboCode.encode_batch`, and the last-axis rate matcher
+        and interleaver).  Returns ``(batch, physical_bits)`` uint8.
+        """
+        bits = np.asarray(bits).astype(np.uint8)
+        if bits.ndim != 2 or bits.shape[1] != self.transport_block:
             raise ValueError(
-                f"expected {self.transport_block} bits, got {len(bits)}"
+                f"expected a (batch, {self.transport_block}) array, "
+                f"got shape {bits.shape}"
             )
-        msg = self.crc.attach(bits) if self.crc else bits
+        msg = self.crc.attach_batch(bits) if self.crc else bits
         if self.scheme is CodingScheme.NONE:
             coded = msg
         elif self.scheme is CodingScheme.CONVOLUTIONAL:
-            coded = self.conv_code.encode(msg)
+            coded = self.conv_code.encode_batch(msg)
         else:
-            coded = self.turbo.encode(msg)
+            coded = self.turbo.encode_batch(msg)
         matched = rate_match(coded, self.physical_bits)
         return self._interleaver.interleave(matched)
+
+    def encode(self, bits: np.ndarray) -> np.ndarray:
+        """CRC-attach, encode, rate-match and interleave one block."""
+        bits = np.asarray(bits).astype(np.uint8).ravel()
+        return self.encode_batch(bits[None])[0]
 
     # -- receive ----------------------------------------------------------
     def decode(self, llr: np.ndarray) -> dict:
@@ -186,8 +199,6 @@ class TransportChain:
             msg = self.turbo.decode_batch(soft)
         crc_ok = None
         if self.crc:
-            crc_ok = np.fromiter(
-                (self.crc.check(row) for row in msg), dtype=bool, count=len(msg)
-            )
+            crc_ok = self.crc.check_batch(msg)
             msg = msg[:, : -self.crc.width]
         return {"bits": msg, "crc_ok": crc_ok}

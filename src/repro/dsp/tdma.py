@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .filters import srrc, upsample
+from .filters import srrc
 from .modem import PskModem, estimate_snr_m2m4
 from .carrier import carrier_lock_metric, data_aided_phase, frequency_estimate
 from .timing import (
@@ -252,19 +252,38 @@ class TdmaModem:
         return self.burst.payload * self.psk.bits_per_symbol
 
     # -- transmit -------------------------------------------------------
+    def transmit_batch(self, bits: np.ndarray) -> np.ndarray:
+        """Build one SRRC-shaped burst per row of a ``(B, <= bits_per_burst)`` stack.
+
+        Rows are zero-padded to the payload, mapped, framed behind the
+        shared preamble and unique word and zero-stuffed to ``sps``;
+        one ``fftconvolve`` along the sample axis then shapes every
+        burst.  Returns ``(B, num_tx_samples())`` complex samples.
+        """
+        bits = np.asarray(bits, dtype=np.uint8)
+        if bits.ndim != 2:
+            raise ValueError(f"expected a (batch, n) array, got shape {bits.shape}")
+        nb, n = bits.shape
+        if n > self.bits_per_burst:
+            raise ValueError(
+                f"{n} bits exceed burst capacity {self.bits_per_burst}"
+            )
+        if nb == 0:
+            return np.empty((0, self.num_tx_samples()), dtype=np.complex128)
+        padded = np.zeros((nb, self.bits_per_burst), dtype=np.uint8)
+        padded[:, :n] = bits
+        head = len(self.preamble) + len(self.uw)
+        symbols = np.empty((nb, self.burst.total), dtype=np.complex128)
+        symbols[:, :head] = np.concatenate([self.preamble, self.uw])
+        symbols[:, head:] = self.psk.modulate(padded).reshape(nb, -1)
+        x = np.zeros((nb, self.burst.total * self.sps), dtype=np.complex128)
+        x[:, :: self.sps] = symbols
+        return fftconvolve(x, self.pulse[None, :], mode="full", axes=1)
+
     def transmit(self, bits: np.ndarray) -> np.ndarray:
         """Build one SRRC-shaped burst carrying ``bits`` (padded to payload)."""
         bits = np.asarray(bits, dtype=np.uint8).ravel()
-        if len(bits) > self.bits_per_burst:
-            raise ValueError(
-                f"{len(bits)} bits exceed burst capacity {self.bits_per_burst}"
-            )
-        padded = np.zeros(self.bits_per_burst, dtype=np.uint8)
-        padded[: len(bits)] = bits
-        payload = self.psk.modulate(padded)
-        symbols = np.concatenate([self.preamble, self.uw, payload])
-        x = upsample(symbols, self.sps)
-        return fftconvolve(x, self.pulse, mode="full")
+        return self.transmit_batch(bits[None])[0]
 
     def num_tx_samples(self) -> int:
         """Length of a transmitted burst in samples."""

@@ -60,6 +60,8 @@ class BoundedQueue:
         self.dropped = 0
         self.served = 0
         self.max_depth = 0
+        #: ``(enqueue time, item)`` of the last poll, for :meth:`unpoll`
+        self._polled: Optional[Tuple[float, Any]] = None
         self._probe = _obs_probe("overload.queue", queue=name)
 
     def __len__(self) -> int:
@@ -107,13 +109,27 @@ class BoundedQueue:
         """Dequeue ``(item, sojourn_seconds)`` (``None`` when empty)."""
         if not self._items:
             return None
-        enq_t, item = self._items.popleft()
+        self._polled = self._items.popleft()
+        enq_t, item = self._polled
         self.served += 1
         sojourn = self.clock() - enq_t
         p = self._probe
         if p is not None:
             p.observe("sojourn", sojourn)
         return item, sojourn
+
+    def unpoll(self) -> None:
+        """Put the item the last poll returned back at the head.
+
+        It keeps its original enqueue time, so its sojourn runs on as if
+        it had never left; the poll's ``served`` count is undone.  For a
+        consumer that polls first and only then learns it cannot serve.
+        """
+        if self._polled is None:
+            raise RuntimeError(f"{self.name}: no polled item to put back")
+        self._items.appendleft(self._polled)
+        self._polled = None
+        self.served -= 1
 
     def head_sojourn(self) -> Optional[float]:
         """How long the current head has been waiting (None when empty)."""
@@ -213,6 +229,7 @@ class CoDelQueue(BoundedQueue):
                 return item, sojourn
             self.served -= 1  # it was shed, not served
             self.shed += 1
+            self._polled = None
             p = self._probe
             if p is not None:
                 p.count("shed")

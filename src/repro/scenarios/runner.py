@@ -257,30 +257,29 @@ class _DemandPlane:
         for c in self.classes:
             q = self.queues[c]
             while budget > 0 and len(q) > 0:
-                # an expired head is shed locally and never spends a
-                # breaker (half-open) probe
-                gated = q.head_sojourn() < self.budget_s[c]
-                if gated and not breaker.allow():
-                    return  # open: fail fast, leave the queues standing
                 got = q.poll_with_sojourn()
                 if got is None:  # CoDel shed the standing queue
                     break
                 deadline, sojourn = got
                 if deadline.expired(now):
                     # deadline budgets are enforced at every hop: work
-                    # already past its budget is shed, not served
+                    # already past its budget is shed locally, not
+                    # served, and never spends a breaker (half-open) probe
                     self.expired[c] += 1
                     continue
+                # the breaker gates the live request actually polled
+                # (CoDel may have shed the heads in front of it)
+                if not breaker.allow():
+                    q.unpoll()
+                    return  # open: fail fast, leave the queues standing
                 budget -= 1
                 if faulted:
                     self.failed[c] += 1
-                    if gated:
-                        breaker.record_failure()
+                    breaker.record_failure()
                 else:
                     self.served[c] += 1
                     self.max_sojourn[c] = max(self.max_sojourn[c], sojourn)
-                    if gated:
-                        breaker.record_success()
+                    breaker.record_success()
 
     def summary(self) -> Dict[str, object]:
         """Flat JSON-able overload accounting for the golden metrics."""
@@ -473,23 +472,33 @@ class ScenarioRunner:
         # traced per frame so the golden hash covers payload *content*,
         # not just delivery counts
         content_crc = 0
+        # 1. traffic, in carrier order: idle carriers still carry a
+        # keep-alive burst (random fill, same signal statistics as
+        # traffic) so the health monitors keep seeing sync -- real
+        # MF-TDMA slots are never silent unless the carrier is shed
         for k in active:
-            eq = world.payload.demods[k]
-            design = eq.loaded_design or "modem.tdma"
-            modem = world.ground_modem(design)
-            # idle carriers still carry a keep-alive burst (random fill,
-            # same signal statistics as traffic) so the health monitors
-            # keep seeing sync -- real MF-TDMA slots are never silent
-            # unless the carrier is shed
-            has_data = bool(offer_rng.random() < spec.traffic.probability(k))
-            block = bits_rng.integers(0, 2, chain.transport_block).astype(
+            offered[k] = bool(offer_rng.random() < spec.traffic.probability(k))
+            sent[k] = bits_rng.integers(0, 2, chain.transport_block).astype(
                 np.uint8
             )
-            coded = chain.encode(block)
-            bb = np.zeros(modem.bits_per_burst, dtype=np.uint8)
-            n = min(len(coded), modem.bits_per_burst)
-            bb[:n] = coded[:n]
-            s = modem.transmit(bb)
+            content_crc = zlib.crc32(sent[k].tobytes(), content_crc)
+        # 2. Tx synthesis: one chain encode for every carrier, then one
+        # burst synthesis per group of carriers with equal modems
+        tx: Dict[int, np.ndarray] = {}
+        if active:
+            coded = chain.encode_batch(np.stack([sent[k] for k in active]))
+            groups: Dict[tuple, tuple] = {}
+            for row, k in enumerate(active):
+                design = world.payload.demods[k].loaded_design or "modem.tdma"
+                modem = world.ground_modem(design)
+                groups.setdefault(modem.batch_key, (modem, []))[1].append(row)
+            for modem, rows in groups.values():
+                bursts = modem.transmit_batch(coded[rows, : modem.bits_per_burst])
+                for row, s in zip(rows, bursts):
+                    tx[active[row]] = s
+        # 3. channel, in carrier order
+        for k in active:
+            s = tx[k]
             off = cfo.get(k, 0.0)
             if off:
                 s = s * np.exp(2j * np.pi * off * np.arange(len(s)))
@@ -499,11 +508,7 @@ class ScenarioRunner:
                 noise_rng.standard_normal(len(s))
                 + 1j * noise_rng.standard_normal(len(s))
             )
-            s = noise if k in blank else s + noise
-            sent[k] = block
-            offered[k] = has_data
-            streams[k] = s
-            content_crc = zlib.crc32(block.tobytes(), content_crc)
+            streams[k] = noise if k in blank else s + noise
         delivered_now = 0
         if streams:
             n = max(len(s) for s in streams.values())
@@ -564,7 +569,13 @@ class ScenarioRunner:
 
     # -- execution ---------------------------------------------------------
     def run(self) -> ScenarioResult:
-        """Run the scenario under a fresh observability session."""
+        """Run the scenario under its own observability session.
+
+        The mission always gets a fresh tracer, so its trace hash covers
+        this mission alone.  Its metric series go to the registry of an
+        enclosing enabled session, when there is one (a benchmark's
+        ``REPRO_OBS=1`` snapshot), and to a fresh registry otherwise.
+        """
         spec = self.spec
         self._chains: Dict[str, object] = {}
         self._demand: Optional[_DemandPlane] = None
@@ -581,7 +592,9 @@ class ScenarioRunner:
         self.frame_ok_history: List[bool] = []
         self.first_detection: Optional[int] = None
         completed, error = True, None
-        with obs.session(tracer=Tracer(capacity=TRACE_CAPACITY)) as (_, tracer):
+        registry = obs.get_registry() if obs.is_enabled() else None
+        tracer = Tracer(capacity=TRACE_CAPACITY)
+        with obs.session(registry, tracer):
             sim, rngs, world, ncc, gateway = self._build()
             tracer.set_clock(lambda: sim.now)
             mission = sim.process(

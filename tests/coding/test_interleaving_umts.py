@@ -96,6 +96,16 @@ class TestRateMatching:
         assert len(back) == n_in
 
 
+    @pytest.mark.parametrize("n_out", [120, 180, 192])
+    def test_batch_matches_per_row_loop(self, n_out):
+        """Regression: a ``(B, n)`` stack is matched along its last axis,
+        not indexed by row (``(8, 180) -> 192`` once gave ``(192, 180)``)."""
+        rows = np.random.default_rng(n_out).integers(0, 2, (8, 180)).astype(np.uint8)
+        out = rate_match(rows, n_out)
+        assert out.shape == (8, n_out)
+        np.testing.assert_array_equal(out, np.stack([rate_match(r, n_out) for r in rows]))
+        assert rate_match(np.zeros((0, 180)), n_out).shape == (0, n_out)
+
 class TestTransportChain:
     @pytest.mark.parametrize("scheme", list(CodingScheme))
     def test_clean_roundtrip(self, scheme):

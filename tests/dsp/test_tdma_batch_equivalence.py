@@ -12,6 +12,11 @@ recovery and per-row bit counts, including noise-only rows, rows
 truncated after the unique word and rows whose timing offset folds near
 ``sps``.
 
+The transmit section holds ``transmit_batch`` to the per-row
+``transmit`` and to the one-burst synthesis it replaced (one 1-D
+``fftconvolve`` per carrier), bitwise, across the mission's three TDMA
+personalities.
+
 The multiplexer section checks the polyphase synthesis against the
 per-carrier mixer it replaced, and the payload section ports the
 fault-containment cases of the deleted carrier-executor suite: batched
@@ -36,7 +41,7 @@ from repro.dsp.demux import (
     multiplex_carriers,
     synthesis_branches,
 )
-from repro.dsp.filters import design_lowpass
+from repro.dsp.filters import design_lowpass, upsample
 from repro.dsp.modem import estimate_snr_m2m4
 from repro.dsp.tdma import BurstFormat, BurstSyncError, TdmaModem
 from repro.dsp.timing import (
@@ -204,6 +209,75 @@ class TestReceiveBatch:
         assert a.batch_key == TdmaModem(SMALL_BURST).batch_key
         assert a.batch_key != TdmaModem(SMALL_BURST, modulation=8).batch_key
         assert a.batch_key != TdmaModem(SMALL_BURST, cfo_recovery=True).batch_key
+
+
+#: the mission world's TDMA personalities (repro.robustness.fdir.chaos)
+MISSION_BURST = BurstFormat(preamble=16, uw=16, payload=96)
+TX_PERSONALITIES = {
+    "modem.tdma": dict(),
+    "modem.tdma.robust": dict(cfo_recovery=True),
+    "modem.tdma8": dict(modulation=8),
+}
+
+
+def ref_transmit(modem: TdmaModem, bits) -> np.ndarray:
+    """The one-burst synthesis ``transmit_batch`` replaced."""
+    padded = np.zeros(modem.bits_per_burst, dtype=np.uint8)
+    padded[: len(bits)] = bits
+    symbols = np.concatenate([modem.preamble, modem.uw, modem.psk.modulate(padded)])
+    return fftconvolve(upsample(symbols, modem.sps), modem.pulse, mode="full")
+
+
+def _assert_bitwise(got: np.ndarray, ref: np.ndarray) -> None:
+    assert got.dtype == ref.dtype == np.complex128
+    np.testing.assert_array_equal(got.view(np.float64), ref.view(np.float64))
+
+
+class TestTransmitBatch:
+    @pytest.mark.parametrize("design", sorted(TX_PERSONALITIES))
+    @pytest.mark.parametrize("rows", [0, 1, 3, 8, 16])
+    def test_rows_match_per_row_transmit(self, design, rows):
+        modem = TdmaModem(MISSION_BURST, **TX_PERSONALITIES[design])
+        rng = _rng("tx", design, rows)
+        for nbits in (modem.bits_per_burst, 150, 0):
+            bits = rng.integers(0, 2, (rows, nbits)).astype(np.uint8)
+            out = modem.transmit_batch(bits)
+            assert out.shape == (rows, modem.num_tx_samples())
+            for row, got in zip(bits, out):
+                _assert_bitwise(got, modem.transmit(row))
+                _assert_bitwise(got, ref_transmit(modem, row))
+
+    @given(
+        rows=st.integers(0, 16),
+        order=st.sampled_from([2, 4, 8]),
+        sps=st.integers(3, 6),
+        short=st.integers(0, 24),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_short_rows_are_zero_padded(self, rows, order, sps, short, seed):
+        modem = TdmaModem(SMALL_BURST, sps=sps, modulation=order)
+        nbits = max(modem.bits_per_burst - short, 0)
+        bits = _rng("tx-short", seed).integers(0, 2, (rows, nbits))
+        out = modem.transmit_batch(bits)
+        assert out.shape == (rows, modem.num_tx_samples())
+        for row, got in zip(bits, out):
+            padded = np.zeros(modem.bits_per_burst, dtype=np.uint8)
+            padded[:nbits] = row
+            _assert_bitwise(got, modem.transmit(padded))
+            _assert_bitwise(got, ref_transmit(modem, row))
+
+    def test_over_capacity_and_shape_validation(self):
+        modem = TdmaModem(SMALL_BURST)
+        with pytest.raises(ValueError, match="capacity"):
+            modem.transmit_batch(np.zeros((2, modem.bits_per_burst + 1)))
+        with pytest.raises(ValueError, match="capacity"):
+            modem.transmit(np.zeros(modem.bits_per_burst + 2))
+        with pytest.raises(ValueError, match="batch"):
+            modem.transmit_batch(np.zeros(modem.bits_per_burst))
+        empty = modem.transmit_batch(np.zeros((0, 4), dtype=np.uint8))
+        assert empty.shape == (0, modem.num_tx_samples())
+        assert empty.dtype == np.complex128
 
 
 class TestRowReductions:

@@ -116,3 +116,40 @@ class TestDeterminism:
             "arrivals"
         ]
         assert a.trace_hash != b.trace_hash
+
+
+class TestBreakerGatesEveryServedRequest:
+    """CoDel can shed an expired head and hand back a later live
+    request; that request must still pass the breaker and report back
+    to it, like every other request the demand plane serves."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_live_request_bypasses_the_breaker(self, seed, monkeypatch):
+        from repro.robustness.overload.brownout import CircuitBreaker
+
+        calls = {"allowed": 0, "recorded": 0}
+        allow = CircuitBreaker.allow
+        success = CircuitBreaker.record_success
+        failure = CircuitBreaker.record_failure
+
+        def counting_allow(self):
+            ok = allow(self)
+            calls["allowed"] += ok
+            return ok
+
+        def counting(record):
+            def wrapped(self):
+                calls["recorded"] += 1
+                record(self)
+
+            return wrapped
+
+        monkeypatch.setattr(CircuitBreaker, "allow", counting_allow)
+        monkeypatch.setattr(CircuitBreaker, "record_success", counting(success))
+        monkeypatch.setattr(CircuitBreaker, "record_failure", counting(failure))
+        spec = reseeded(catalog_by_name()["surge-during-fdir-recovery"], seed)
+        ov = run_scenario(spec).metrics["overload"]
+        handled = sum(ov["served"].values()) + sum(ov["failed"].values())
+        assert handled > 0
+        assert calls["recorded"] == handled
+        assert calls["allowed"] == handled

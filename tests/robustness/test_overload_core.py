@@ -197,6 +197,24 @@ class TestBoundedQueue:
         with pytest.raises(ValueError):
             BoundedQueue(capacity=0)
 
+    def test_unpoll_restores_head_and_enqueue_time(self):
+        clk = FakeClock()
+        q = BoundedQueue(capacity=4, clock=clk)
+        q.offer("a")
+        clk.advance(0.1)
+        q.offer("b")
+        clk.advance(0.3)
+        assert q.poll_with_sojourn() == ("a", 0.4)
+        q.unpoll()
+        assert q.depth == 2 and q.stats()["served"] == 0
+        clk.advance(0.3)
+        # same enqueue time: the sojourn runs on as if never polled
+        assert q.poll_with_sojourn() == ("a", clk.t)
+        assert q.poll() == "b"
+        q.unpoll()
+        with pytest.raises(RuntimeError):
+            q.unpoll()  # one poll is undone at most once
+
 
 class TestCoDelQueue:
     def test_under_target_never_sheds(self):
@@ -250,6 +268,22 @@ class TestCoDelQueue:
         clk = FakeClock()
         q = CoDelQueue(clk, capacity=4, target=0.1, interval=1.0)
         assert q.interval / math.sqrt(4) < q.interval / math.sqrt(1)
+
+    def test_unpoll_puts_back_only_the_survivor(self):
+        clk = FakeClock()
+        q = CoDelQueue(clk, capacity=64, target=0.5, interval=1.0)
+        for i in range(40):
+            q.offer(i)
+            clk.advance(0.2)
+        while True:  # serve slowly until one poll sheds heads *and* serves
+            shed, depth = q.shed, q.depth
+            got = q.poll_with_sojourn()
+            if got is not None and q.shed > shed:
+                break
+            clk.advance(0.3)
+        q.unpoll()
+        assert q.depth == depth - (q.shed - shed)  # the shed heads stay gone
+        assert q.poll_with_sojourn()[0] == got[0]
 
     def test_param_validation(self):
         clk = FakeClock()

@@ -9,12 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.scenarios import (
     FadeSegment,
     FaultEvent,
     ScenarioError,
     ScenarioSpec,
     SurgeProfile,
+    catalog_by_name,
     expected_actions,
     goodput_violations,
     nominal_counterpart,
@@ -46,6 +48,21 @@ def test_different_seed_different_trace():
     a = run_scenario(_tiny())
     b = run_scenario(_tiny(seed=123))
     assert a.trace_hash != b.trace_hash
+
+
+def test_metrics_reach_an_enclosing_session_but_the_trace_stays_local():
+    """A benchmark's ``REPRO_OBS=1`` session sees the mission's metric
+    series; the mission's tracer, and so its trace hash, stay its own."""
+    spec = catalog_by_name()["flash-crowd"]
+    bare = run_scenario(spec)
+    with obs.session() as (reg, tracer):
+        inside = run_scenario(spec)
+    assert inside.trace_hash == bare.trace_hash
+    assert tracer.total == 0
+    series = [name for name in reg.names() if name.startswith("overload.")]
+    assert "overload.queue.sojourn" in series
+    assert "overload.admission.admitted_p0" in series
+    assert "overload.brownout.level" in series
 
 
 def test_invalid_spec_is_rejected_before_running():
